@@ -23,8 +23,8 @@ Quick start::
 Layer map:
 
 * :mod:`repro.sim` — virtual clock, calibrated timing profiles, RNG, trace
-* :mod:`repro.crypto` — from-scratch SHA-1/SHA-512/MD5/HMAC/AES/RC4/RSA/
-  PKCS#1/md5crypt
+* :mod:`repro.crypto` — the PAL crypto library: SHA-1/SHA-512/MD5 over
+  :mod:`hashlib`, HMAC/AES/RC4/RSA/PKCS#1/md5crypt in Python
 * :mod:`repro.hw` — CPU, memory, DEV, APIC, SKINIT, machine assembly
 * :mod:`repro.tpm` — PCRs, Quote, Seal/Unseal, NV, counters, Privacy CA
 * :mod:`repro.osim` — the untrusted OS, sysfs, drivers, storage, network,

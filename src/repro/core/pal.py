@@ -17,6 +17,7 @@ unresolved symbol at link time.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Callable, Optional, Tuple
 
@@ -27,6 +28,16 @@ from repro.core.modules.memory_mgmt import PALHeap
 from repro.core.modules.os_protection import PALMemoryView
 from repro.core.modules.tpm_utils import PALTPMInterface
 from repro.errors import PALRuntimeError
+
+
+@functools.lru_cache(maxsize=256)
+def _class_source(cls: type) -> bytes:
+    """The UTF-8 source text of ``cls``, parsed once per class.
+
+    Keyed by the class object itself, so a subclass never shares its
+    parent's entry.  A failed lookup raises and is not cached.
+    """
+    return inspect.getsource(cls).encode("utf-8")
 
 
 class PAL:
@@ -65,13 +76,13 @@ class PAL:
         names.  Any change to the logic or the TCB changes this value and
         therefore the SLB measurement."""
         try:
-            source = inspect.getsource(type(self))
+            source = _class_source(type(self))
         except (OSError, TypeError):
             raise PALRuntimeError(
                 f"cannot obtain source of PAL {self.name!r}; define it in a file"
             ) from None
         manifest = ",".join(resolve_modules(self.modules))
-        return source.encode("utf-8") + b"\x00" + manifest.encode("ascii")
+        return source + b"\x00" + manifest.encode("ascii")
 
 
 class PALContext:

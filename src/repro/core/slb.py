@@ -21,6 +21,7 @@ expects after a given image launches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -38,20 +39,24 @@ from repro.tpm.pcr import PCR_DYNAMIC_RESET_VALUE, simulate_extend_chain
 _IMAGE_REGISTRY: Dict[bytes, "SLBImage"] = {}
 
 
+@functools.lru_cache(maxsize=None)
 def _module_binary(name: str) -> bytes:
     """Deterministic stand-in bytes for a module's compiled code.
 
     Derived from the module name only, so a module's binary is identical
-    across machines and builds — like shipping the same ``.o`` file.
+    across machines and builds — like shipping the same ``.o`` file —
+    and is synthesized once per process.
     """
     descriptor = MODULE_REGISTRY[name]
     rng = DeterministicRNG(0xC0DE)
     return rng.fork(f"module:{name}").bytes(descriptor.size_bytes)
 
 
+@functools.lru_cache(maxsize=None)
 def _bootstrap_stub() -> bytes:
     """The 4736-byte measure-then-extend stub (including the 4-byte
-    header); its body is SHA-1 code plus a minimal TPM extend driver."""
+    header); its body is SHA-1 code plus a minimal TPM extend driver.
+    A constant, synthesized once per process."""
     rng = DeterministicRNG(0x57AB)
     return rng.fork("hash-extend-stub").bytes(OPTIMIZED_STUB_BYTES - 4)
 

@@ -1,14 +1,15 @@
-"""From-scratch cryptographic substrate.
+"""The PAL crypto library.
 
 The paper's PAL-linkable ``Crypto`` module (Figure 6: 2262 LOC) provides a
 multi-precision integer library, RSA key generation, RSA encryption and
-decryption, SHA-1, SHA-512, MD5, AES, and RC4.  This package reimplements
-the same inventory in pure Python so the reproduction's TCB accounting is
-honest: nothing in a simulated PAL depends on ``hashlib`` or an external
-crypto library.
+decryption, SHA-1, SHA-512, MD5, AES, and RC4.  This package offers the
+same inventory.  SHA-1, SHA-512 and MD5 are thin wrappers over the
+standard library's :mod:`hashlib`; AES-128 is table-driven; the rest is
+Python.  No external crypto library is used.
 
-All hash implementations are validated against known-answer vectors in the
-test suite; RSA/PKCS#1 are validated by round-trip and cross-checks; AES is
+All hash implementations are validated against known-answer vectors and,
+with AES, differentially against from-spec oracles kept in the test
+suite; RSA/PKCS#1 are validated by round-trip and cross-checks; AES is
 validated against the FIPS-197 vectors; RC4 against the RFC 6229 streams;
 md5crypt against glibc-produced hashes.
 """

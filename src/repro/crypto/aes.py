@@ -1,4 +1,4 @@
-"""AES-128 (FIPS 197), implemented from the specification.
+"""AES-128 (FIPS 197), table-driven.
 
 The paper's PAL crypto library includes AES for fast symmetric protection of
 data that is too large to push through the TPM's (slow) asymmetric sealed
@@ -6,6 +6,11 @@ storage: the common pattern (paper §2.2) seals a symmetric key and encrypts
 the bulk data with it on the main CPU.  This module provides the block
 cipher plus CBC mode with PKCS#7 padding, which is what
 :mod:`repro.core.sealed_storage` uses for bulk payloads.
+
+The S-box is derived from first principles at import; the rounds use
+precomputed GF(2^8) multiply tables and fuse ShiftRows into SubBytes.
+The test suite pins both directions byte-equal to a textbook
+round-by-round oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +60,17 @@ def _gmul(a: int, b: int) -> int:
     return _EXP[_LOG[a] + _LOG[b]]
 
 
+# Multiply-by-constant tables for (Inv)MixColumns.
+_MUL2, _MUL3, _MUL9, _MUL11, _MUL13, _MUL14 = (
+    bytes(_gmul(n, x) for x in range(256)) for n in (2, 3, 9, 11, 13, 14))
+
+# ShiftRows as a gather over the column-major state (byte (row r, col c)
+# is state[4*c + r]): out[i] = state[_SHIFT_ROWS[i]], and likewise for
+# the inverse.
+_SHIFT_ROWS = tuple(4 * ((c + r) % 4) + r for c in range(4) for r in range(4))
+_INV_SHIFT_ROWS = tuple(4 * ((c - r) % 4) + r for c in range(4) for r in range(4))
+
+
 class AES128:
     """AES with a 128-bit key: block operations plus CBC mode."""
 
@@ -83,79 +99,51 @@ class AES128:
 
     # -- block primitives ----------------------------------------------------
 
-    @staticmethod
-    def _add_round_key(state: List[int], rk: List[int]) -> None:
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int], box: tuple) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> List[int]:
-        # State is column-major: byte (row r, col c) is state[4*c + r].
-        out = [0] * 16
-        for c in range(4):
-            for r in range(4):
-                out[4 * c + r] = state[4 * ((c + r) % 4) + r]
-        return out
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> List[int]:
-        out = [0] * 16
-        for c in range(4):
-            for r in range(4):
-                out[4 * ((c + r) % 4) + r] = state[4 * c + r]
-        return out
-
-    @staticmethod
-    def _mix_columns(state: List[int], inverse: bool) -> List[int]:
-        coeffs = (14, 11, 13, 9) if inverse else (2, 3, 1, 1)
-        out = [0] * 16
-        for c in range(4):
-            col = state[4 * c : 4 * c + 4]
-            for r in range(4):
-                out[4 * c + r] = (
-                    _gmul(coeffs[0], col[r])
-                    ^ _gmul(coeffs[1], col[(r + 1) % 4])
-                    ^ _gmul(coeffs[2], col[(r + 2) % 4])
-                    ^ _gmul(coeffs[3], col[(r + 3) % 4])
-                )
-        return out
-
     def encrypt_block(self, plaintext: bytes) -> bytes:
         """Encrypt one 16-byte block."""
         if len(plaintext) != 16:
             raise ReproError("AES block must be 16 bytes")
-        state = list(plaintext)
-        self._add_round_key(state, self._round_keys[0])
+        round_keys = self._round_keys
+        state = [p ^ k for p, k in zip(plaintext, round_keys[0])]
         for rnd in range(1, 10):
-            self._sub_bytes(state, _SBOX)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state, inverse=False)
-            self._add_round_key(state, self._round_keys[rnd])
-        self._sub_bytes(state, _SBOX)
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[10])
-        return bytes(state)
+            # SubBytes and ShiftRows in one gather, then MixColumns and
+            # AddRoundKey column by column.
+            t = [_SBOX[state[i]] for i in _SHIFT_ROWS]
+            k = round_keys[rnd]
+            state = []
+            for c in range(0, 16, 4):
+                a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
+                state += (
+                    _MUL2[a0] ^ _MUL3[a1] ^ a2 ^ a3 ^ k[c],
+                    a0 ^ _MUL2[a1] ^ _MUL3[a2] ^ a3 ^ k[c + 1],
+                    a0 ^ a1 ^ _MUL2[a2] ^ _MUL3[a3] ^ k[c + 2],
+                    _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3] ^ k[c + 3],
+                )
+        return bytes(_SBOX[state[i]] ^ rk
+                     for i, rk in zip(_SHIFT_ROWS, round_keys[10]))
 
     def decrypt_block(self, ciphertext: bytes) -> bytes:
         """Decrypt one 16-byte block."""
         if len(ciphertext) != 16:
             raise ReproError("AES block must be 16 bytes")
-        state = list(ciphertext)
-        self._add_round_key(state, self._round_keys[10])
+        round_keys = self._round_keys
+        state = [c ^ k for c, k in zip(ciphertext, round_keys[10])]
         for rnd in range(9, 0, -1):
-            state = self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_keys[rnd])
-            state = self._mix_columns(state, inverse=True)
-        state = self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+            # InvShiftRows and InvSubBytes in one gather, AddRoundKey,
+            # then InvMixColumns column by column.
+            k = round_keys[rnd]
+            t = [_INV_SBOX[state[i]] ^ kj for i, kj in zip(_INV_SHIFT_ROWS, k)]
+            state = []
+            for c in range(0, 16, 4):
+                a0, a1, a2, a3 = t[c], t[c + 1], t[c + 2], t[c + 3]
+                state += (
+                    _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3],
+                    _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3],
+                    _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3],
+                    _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3],
+                )
+        return bytes(_INV_SBOX[state[i]] ^ rk
+                     for i, rk in zip(_INV_SHIFT_ROWS, round_keys[0]))
 
     # -- CBC mode ------------------------------------------------------------
 

@@ -1,29 +1,15 @@
-"""MD5 (RFC 1321), implemented from the specification.
+"""MD5 (RFC 1321).
 
 The SSH application hashes passwords with ``md5crypt`` — the classic
 ``$1$``-prefixed crypt scheme used in ``/etc/passwd`` on the paper's test
 systems — which is built on MD5 (:mod:`repro.crypto.md5crypt`).
+:class:`MD5` wraps :func:`hashlib.md5`; the test suite pins it byte-equal
+to a from-spec oracle.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-
-_S = (
-    [7, 12, 17, 22] * 4
-    + [5, 9, 14, 20] * 4
-    + [4, 11, 16, 23] * 4
-    + [6, 10, 15, 21] * 4
-)
-
-_K = [int(abs(math.sin(i + 1)) * 2 ** 32) & 0xFFFFFFFF for i in range(64)]
-
-_MASK32 = 0xFFFFFFFF
-
-
-def _rotl(value: int, amount: int) -> int:
-    return ((value << amount) | (value >> (32 - amount))) & _MASK32
+import hashlib as _hashlib
 
 
 class MD5:
@@ -33,72 +19,28 @@ class MD5:
     block_size = 64
 
     def __init__(self, data: bytes = b"") -> None:
-        self._state = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476]
-        self._buffer = b""
-        self._length = 0
-        if data:
-            self.update(data)
+        self._state = _hashlib.md5(data)
 
     def update(self, data: bytes) -> "MD5":
         """Absorb ``data``; returns self for chaining."""
-        self._length += len(data)
-        self._buffer += data
-        while len(self._buffer) >= 64:
-            self._compress(self._buffer[:64])
-            self._buffer = self._buffer[64:]
+        self._state.update(data)
         return self
-
-    def _compress(self, block: bytes) -> None:
-        m = struct.unpack("<16I", block)
-        a, b, c, d = self._state
-        for i in range(64):
-            if i < 16:
-                f = (b & c) | ((~b) & d)
-                g = i
-            elif i < 32:
-                f = (d & b) | ((~d) & c)
-                g = (5 * i + 1) % 16
-            elif i < 48:
-                f = b ^ c ^ d
-                g = (3 * i + 5) % 16
-            else:
-                f = c ^ (b | (~d & _MASK32))
-                g = (7 * i) % 16
-            f = (f + a + _K[i] + m[g]) & _MASK32
-            a, d, c = d, c, b
-            b = (b + _rotl(f, _S[i])) & _MASK32
-        self._state = [
-            (self._state[0] + a) & _MASK32,
-            (self._state[1] + b) & _MASK32,
-            (self._state[2] + c) & _MASK32,
-            (self._state[3] + d) & _MASK32,
-        ]
 
     def digest(self) -> bytes:
         """Return the 16-byte digest without disturbing internal state."""
-        clone = self.copy()
-        pad_len = (55 - clone._length) % 64
-        padding = b"\x80" + b"\x00" * pad_len + struct.pack("<Q", clone._length * 8)
-        clone._length += len(padding)
-        clone._buffer += padding
-        while len(clone._buffer) >= 64:
-            clone._compress(clone._buffer[:64])
-            clone._buffer = clone._buffer[64:]
-        return struct.pack("<4I", *clone._state)
+        return self._state.digest()
 
     def hexdigest(self) -> str:
         """Return the digest as a lowercase hex string."""
-        return self.digest().hex()
+        return self._state.hexdigest()
 
     def copy(self) -> "MD5":
         """Return an independent copy of the running hash state."""
         clone = MD5()
-        clone._state = list(self._state)
-        clone._buffer = self._buffer
-        clone._length = self._length
+        clone._state = self._state.copy()
         return clone
 
 
 def md5(data: bytes) -> bytes:
     """One-shot MD5 digest of ``data``."""
-    return MD5(data).digest()
+    return _hashlib.md5(data).digest()

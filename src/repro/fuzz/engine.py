@@ -35,11 +35,12 @@ def _reset_hot_caches() -> None:
     """Pin every shard's starting cache state to that of a fresh process.
 
     Edge coverage is sensitive to process-global memoization: a warm
-    :data:`repro.crypto.rsa._KEYGEN_CACHE` or ``sha1_cached`` entry skips
-    lines a cold one executes, so a shard's edges would depend on what ran
-    earlier in the same process — breaking the byte-identical-at-any-
-    worker-count guarantee.  Clearing both at shard entry makes shard
-    output a pure function of (campaign seed, shard index).
+    :data:`repro.crypto.rsa._KEYGEN_CACHE`, ``sha1_cached``, SLB
+    constant-bytes or PAL-source entry skips lines a cold one executes,
+    so a shard's edges would depend on what ran earlier in the same
+    process — breaking the byte-identical-at-any-worker-count guarantee.
+    Clearing them all at shard entry makes shard output a pure function
+    of (campaign seed, shard index).
     """
     import importlib
 
@@ -47,8 +48,13 @@ def _reset_hot_caches() -> None:
     # sha1 *function* over the sha1 *module* in ``import a.b as m`` form.
     rsa_mod = importlib.import_module("repro.crypto.rsa")
     sha1_mod = importlib.import_module("repro.crypto.sha1")
+    slb_mod = importlib.import_module("repro.core.slb")
+    pal_mod = importlib.import_module("repro.core.pal")
     rsa_mod._KEYGEN_CACHE.clear()
     sha1_mod.sha1_cached.cache_clear()
+    slb_mod._module_binary.cache_clear()
+    slb_mod._bootstrap_stub.cache_clear()
+    pal_mod._class_source.cache_clear()
 
 
 def _run_shard(args: tuple) -> dict:

@@ -1,5 +1,7 @@
 """Campaign engine: determinism, monotone coverage, worker independence."""
 
+import importlib
+
 import pytest
 
 from repro.fuzz.engine import FuzzCampaign, edge_monotonicity
@@ -21,6 +23,24 @@ class TestDeterminism:
         a = _small(fuzz_seed, executions=32).run()
         b = _small(fuzz_seed + 1, executions=32).run()
         assert FuzzCampaign.report_json(a) != FuzzCampaign.report_json(b)
+
+    def test_report_independent_of_warm_memos(self, fuzz_seed):
+        # Each shard starts from a fresh process's memo state, so a
+        # campaign run after others in one process reports what a cold
+        # one does (and a serial run what a worker pool does).
+        for name, memos in (("repro.core.slb", ("_module_binary", "_bootstrap_stub")),
+                            ("repro.core.pal", ("_class_source",)),
+                            ("repro.crypto.sha1", ("sha1_cached",))):
+            module = importlib.import_module(name)
+            for memo in memos:
+                getattr(module, memo).cache_clear()
+        importlib.import_module("repro.crypto.rsa")._KEYGEN_CACHE.clear()
+        # The faults target runs whole Flicker sessions, so it builds SLBs.
+        cold = FuzzCampaign(seed=fuzz_seed, executions=8, shards=1,
+                            targets=("faults",)).run()
+        warm = FuzzCampaign(seed=fuzz_seed, executions=8, shards=1,
+                            targets=("faults",)).run()
+        assert FuzzCampaign.report_json(cold) == FuzzCampaign.report_json(warm)
 
     @pytest.mark.slow
     def test_byte_identical_across_worker_counts(self, fuzz_seed):

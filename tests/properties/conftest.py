@@ -1,8 +1,8 @@
 """Hypothesis profile for the property suite.
 
-Pure-Python crypto makes each example relatively expensive; a moderate
-example count keeps the suite minutes-fast while still exploring the input
-space well beyond hand-written cases.
+Pure-Python RSA and full Flicker sessions make each example relatively
+expensive; a moderate example count keeps the suite minutes-fast while
+still exploring the input space well beyond hand-written cases.
 """
 
 from hypothesis import HealthCheck, settings
