@@ -13,16 +13,21 @@ accident, so this package checks both from the source text itself:
 * :mod:`repro.analysis.determinism` — forbids wall-clock and ambient
   entropy, unordered-set iteration feeding exporters, and ``id()``-based
   sort keys.
-* :mod:`repro.analysis.secret_flow` — tracks values from Unseal /
-  GetRandom / key-generation call sites into logs, trace events,
-  exception messages and exporter payloads.
 * :mod:`repro.analysis.callgraph` — resolves every call site to its
   definition(s) (imports, class attribution, name-suffix matching) and
-  pins the summary in ``ANALYSIS_callgraph.json``; the three
-  interprocedural families build on it:
-  :mod:`repro.analysis.interproc` (SEC002 cross-function secret flow),
-  :mod:`repro.analysis.isolation` (ISO001/ISO002 tenant isolation),
-  and :mod:`repro.analysis.races` (RACE001 scheduler-sharing lint).
+  pins the summary in ``ANALYSIS_callgraph.json``; every rule that
+  follows calls builds on it.
+* :mod:`repro.analysis.interproc` — the one taint engine: values from
+  Unseal / GetRandom / key generation (``secret``) and from
+  ``export_tenant`` (``snapshot``) tracked through assignments, calls
+  and attribute stores into logs, trace events, exception messages and
+  NV writes, computed once per project.  Three rules read it: SEC001
+  (:mod:`repro.analysis.secret_flow`, flows inside one function),
+  SEC002 (flows through a wrapper) and ISO002
+  (:mod:`repro.analysis.isolation`, snapshot flows).
+* :mod:`repro.analysis.isolation` (ISO001 tenant-bound TPM access) and
+  :mod:`repro.analysis.races` (RACE001 scheduler sharing) walk the
+  call graph directly.
 
 Drive it with ``python -m repro.tools.lint``; see ``docs/ANALYSIS.md``.
 

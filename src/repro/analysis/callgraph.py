@@ -1,12 +1,13 @@
 """Project-wide call graph: call sites resolved to definitions.
 
-The intra-procedural rule families (SEC001, the determinism lints) see
-one function at a time; the properties PR 9's multi-tenant vTPM layer
-introduced — tenant partitioning of hardware NV/counters, snapshot
-confidentiality — only hold *across* functions.  This module gives the
-interprocedural families (SEC002, ISO001/ISO002, RACE001) the structure
-they need: every function and method definition in the project, and for
-every call site the definition(s) it can reach.
+The determinism lints see one statement at a time; secret hygiene,
+tenant partitioning of hardware NV/counters and snapshot
+confidentiality only hold *across* functions.  This module gives the
+rules that follow calls — the shared taint analysis behind SEC001,
+SEC002 and ISO002 (:mod:`repro.analysis.interproc`), ISO001 and
+RACE001 — the structure they need: every function and method
+definition in the project, and for every call site the definition(s)
+it can reach.
 
 Resolution is static and deliberately three-tiered, in decreasing
 precision:
@@ -26,7 +27,8 @@ precision:
     matches every definition whose bare name agrees.  A suffix edge
     with exactly one candidate is *unambiguous* and the rules treat it
     like a precise edge; multi-candidate edges are recorded (they count
-    in the report) but no rule acts on them.
+    in the report) but no rule acts on them.  That policy has one
+    owner, :func:`actionable_callees`, which every rule calls.
 
 The committed ``ANALYSIS_callgraph.json`` summarises the graph per
 module and is pinned exactly like ``ANALYSIS_tcb.json``: CG001 fails
@@ -257,13 +259,15 @@ def build_callgraph(project: Project) -> CallGraph:
         bindings[source.module] = module_bindings(source)
         for node in source.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                _index_function(functions, source, node, None)
+                info = function_info(source, node, None)
+                functions[info.qualname] = info
             elif isinstance(node, ast.ClassDef):
                 qualname = f"{source.module}.{node.name}"
                 methods: Dict[str, str] = {}
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        info = _index_function(functions, source, item, node.name)
+                        info = function_info(source, item, node.name)
+                        functions[info.qualname] = info
                         methods[item.name] = info.qualname
                 classes[qualname] = ClassInfo(
                     qualname=qualname,
@@ -295,9 +299,7 @@ def build_callgraph(project: Project) -> CallGraph:
                 unresolved += 1
                 continue
             text = dotted_name(call.func) or "<dynamic>"
-            ambiguous = (
-                len(resolved) > 1 and resolved[0][1] == "suffix"
-            )
+            ambiguous = _is_ambiguous(resolved)
             for callee, resolution in resolved:
                 edges.append(CallEdge(
                     caller=caller, callee=callee, line=call.lineno,
@@ -310,25 +312,21 @@ def build_callgraph(project: Project) -> CallGraph:
     )
 
 
-def _index_function(
-    functions: Dict[str, FunctionInfo],
-    source: SourceFile,
-    node: ast.AST,
-    class_name: Optional[str],
+def function_info(
+    source: SourceFile, node: ast.AST, class_name: Optional[str]
 ) -> FunctionInfo:
+    """Describe one ``def`` in ``source`` (enclosed by ``class_name``)."""
     qualname = (
         f"{source.module}.{class_name}.{node.name}"
         if class_name else f"{source.module}.{node.name}"
     )
     params, has_vararg, has_kwarg = _function_params(node)
-    info = FunctionInfo(
+    return FunctionInfo(
         qualname=qualname, module=source.module, relpath=source.relpath,
         line=node.lineno, name=node.name, class_name=class_name,
         is_generator=_is_generator(node), params=params,
         has_vararg=has_vararg, has_kwarg=has_kwarg, node=node,
     )
-    functions[qualname] = info
-    return info
 
 
 def _iter_call_sites(source: SourceFile):
@@ -416,6 +414,25 @@ def resolve_call(
     return [(c, "suffix") for c in candidates]
 
 
+def _is_ambiguous(resolved: List[Tuple[str, str]]) -> bool:
+    """A suffix match with several candidates: recorded, never acted on."""
+    return len(resolved) > 1 and resolved[0][1] == "suffix"
+
+
+def actionable_callees(
+    graph: CallGraph,
+    source: SourceFile,
+    class_name: Optional[str],
+    call: ast.Call,
+) -> List[str]:
+    """Callee qualnames a rule may act on for one call site: precise
+    resolutions plus unambiguous suffix matches."""
+    resolved = resolve_call(graph, source, class_name, call)
+    if _is_ambiguous(resolved):
+        return []
+    return [callee for callee, _ in resolved]
+
+
 def get_callgraph(project: Project) -> CallGraph:
     """The project's call graph, built once and cached on the project."""
     cached = getattr(project, "_callgraph", None)
@@ -481,9 +498,9 @@ def generate_callgraph_report(project: Project) -> str:
 class CallGraphReportStaleRule(Rule):
     """The committed ``ANALYSIS_callgraph.json`` must match the source.
 
-    The call graph is the foundation the interprocedural rules (SEC002,
-    ISO001/ISO002, RACE001) stand on; its committed summary is pinned
-    exactly like ``ANALYSIS_tcb.json`` so a PR that changes what those
+    The call graph is the foundation the call-following rules (SEC001,
+    SEC002, ISO001, ISO002, RACE001) stand on; its committed summary is
+    pinned exactly like ``ANALYSIS_tcb.json`` so a PR that changes what those
     rules can see — new cross-module call paths, newly ambiguous edges —
     shows that shift in its diff.  Regenerate with ``python -m
     repro.tools.lint --update-callgraph-report``; generation is

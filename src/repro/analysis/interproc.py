@@ -1,8 +1,21 @@
-"""Interprocedural taint: secrets tracked across function boundaries.
+"""The taint engine behind SEC001, SEC002 and ISO002.
 
-SEC001 is deliberately intra-procedural — inside one function, a value
-from ``unseal``/``get_random``/key generation must not reach a sink.
-What it structurally cannot see is the wrapper:
+One :class:`TaintAnalysis` per project tracks two *kinds* of sensitive
+material from the calls that produce it to the channels that publish
+it:
+
+``secret``
+    ``unseal``/``get_random``/key-generation output — sealed plaintext,
+    randomness, private keys (SEC001, SEC002);
+``snapshot``
+    ``export_tenant`` output — a tenant's whole virtual TPM on its way
+    to migration (ISO002).
+
+The sinks are logging, trace events, observability spans/events,
+``print`` and raised exception messages; snapshots must not reach NV
+writes either.  Every label also records whether the value *crossed a
+function boundary* on the way, which is all that separates SEC001 (a
+leak inside one function) from SEC002 (a leak through a wrapper):
 
 .. code-block:: python
 
@@ -10,55 +23,76 @@ What it structurally cannot see is the wrapper:
         return ctx.tpm.unseal(blob)      # fine on its own
 
     def report(ctx, log):
-        log.info(load_key(ctx))          # the leak — two functions away
+        log.info(load_key(ctx))          # SEC002 — two functions away
 
-This module computes *function summaries* over the call graph
-(:mod:`repro.analysis.callgraph`) and propagates taint through them:
+Function *summaries* over the call graph (:mod:`repro.analysis.callgraph`)
+carry labels across calls, per kind:
 
-``returns_secret``
-    the function's return value carries secret material regardless of
-    its arguments (it calls a source, or reads a secret attribute);
+``returns``
+    the return value carries the kind regardless of the arguments (the
+    function calls a source, or reads a tainted attribute);
 ``param_to_return``
-    parameters whose taint flows to the return value (decoder/wrapper
-    functions);
+    parameters whose taint flows to the return value (decoders and
+    wrappers);
 ``param_to_sink``
     parameters whose taint reaches a sink inside the function —
-    passing a secret *into* such a function is itself a leak;
-``secret attributes``
-    ``self.attr = <secret>`` stores, so a method that stashes unsealed
+    passing tainted material *into* such a function is itself a leak;
+``attrs``
+    ``self.attr = <tainted>`` stores, so a method that stashes unsealed
     material and a sibling method that logs it are connected.
 
-Summaries are iterated to a fixpoint (the project graph is finite and
-labels only grow), then a detection pass re-walks every function and
-fires on flows SEC001 cannot have reported.  Calls resolve through
-precise call-graph edges plus *unambiguous* suffix matches only;
-multi-candidate suffix edges are ignored, trading recall for a
-zero-false-positive default.  The sanitizer vocabulary is shared with
-SEC001: digests and lengths of secrets are public by design.
+Summaries only grow, so rounds over every function reach a fixpoint.
+Each round walks each function once: assignments propagate labels to a
+local fixpoint, then returns, sink calls and raises update the summary
+and record :class:`Flow` s.  The last round's flows are final; the
+rules only filter them by kind and boundary crossing.  Calls act
+through :func:`~repro.analysis.callgraph.actionable_callees` only,
+trading recall for a zero-false-positive default.  Digests and lengths
+are public by design, and so is the public half of a keypair.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from repro.analysis.astutil import dotted_name
 from repro.analysis.callgraph import (
-    CallGraph,
     FunctionInfo,
+    actionable_callees,
+    function_info,
     get_callgraph,
-    resolve_call,
 )
 from repro.analysis.engine import Finding, Project, Rule, register
-from repro.analysis.secret_flow import (
-    SECRET_SOURCE_SUFFIXES,
-    SINK_SUFFIXES,
-    _assign_targets,
-    _contains_source_call,
-    _is_sanitizer_call,
-    _names_in,
-    _suffix_hit,
+
+#: Call-name suffixes whose return value is secret.
+SECRET_SOURCE_SUFFIXES = (
+    "unseal",
+    "get_random",
+    "generate_rsa_keypair",
+    "generate_keypair",
+    "derive_key",
+)
+
+#: Call-name suffixes that publish their arguments.
+SINK_SUFFIXES = (
+    "print",
+    "emit",          # trace events
+    "event",         # observability instant events
+    "span",          # observability spans (args land in exports)
+    "record_metrics",
+    "debug", "info", "warning", "error", "exception", "critical", "log",
+)
+
+#: Measurement/size functions whose output is public by design.  Note
+#: ``.hex()`` is *not* here: hex is an encoding, not a digest — the hex
+#: of a secret is the secret.
+SANITIZER_NAMES = (
+    "sha1", "sha512", "md5", "hmac_sha1", "sha1_cached",
+    "len", "measure", "io_measurement", "type", "isinstance",
 )
 
 #: Attribute selections that *declassify*: reading the public half of a
@@ -67,463 +101,493 @@ from repro.analysis.secret_flow import (
 #: (``.private``) keep their taint.
 PUBLIC_ATTRS = ("public", "public_key")
 
-#: Label meaning "directly from a base source call" — SEC001 territory.
-SECRET = "secret"
-#: Label meaning "secret via at least one function boundary".
-XSECRET = "xsecret"
+#: The taint vocabulary: kind -> (source call suffixes, sink call suffixes).
+KINDS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    "secret": (SECRET_SOURCE_SUFFIXES, SINK_SUFFIXES),
+    "snapshot": (
+        ("export_tenant",),
+        SINK_SUFFIXES + ("nv_write", "nv_define_space"),
+    ),
+}
+ALL_KINDS = frozenset(KINDS)
 
-_SECRETISH = frozenset((SECRET, XSECRET))
+#: A label is ``(kind, tag)``.  The tag says the value came straight
+#: from a source call, or crossed at least one function boundary; any
+#: other tag is a parameter name the value depends on (summaries only).
+Label = Tuple[str, str]
+DIRECT = "<direct>"
+CROSSED = "<crossed>"
+_TAINTED = (DIRECT, CROSSED)
+
+#: A raise publishes every kind, through no named sink.
+_RAISE: Dict[str, Optional[str]] = dict.fromkeys(KINDS)
 
 
-@dataclass
-class TaintConfig:
-    """Vocabulary for one interprocedural taint analysis."""
+def _suffix_hit(name: Optional[str], suffixes: Iterable[str]) -> Optional[str]:
+    if name is None:
+        return None
+    for suffix in suffixes:
+        if name == suffix or name.endswith("." + suffix):
+            return suffix
+    return None
 
-    source_suffixes: Tuple[str, ...] = SECRET_SOURCE_SUFFIXES
-    sink_suffixes: Tuple[str, ...] = SINK_SUFFIXES
-    #: When False, flows SEC001 already reports (same-function source →
-    #: sink) are skipped so each leak is reported exactly once.
-    fire_intra: bool = False
-    #: How findings name the tainted value (ISO002 overrides these).
-    noun: str = "secret from another function"
-    param_noun: str = "secret value"
+
+def _is_self_attr(node: ast.AST) -> bool:
+    """``self.attr`` / ``cls.attr``, exactly one level deep."""
+    return (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("self", "cls")
+    )
+
+
+def _target_names(targets: List[ast.expr]) -> List[str]:
+    """Names bound by assignment targets, one tuple/list level deep."""
+    names: List[str] = []
+    for target in targets:
+        elements = (
+            target.elts if isinstance(target, (ast.Tuple, ast.List))
+            else [target]
+        )
+        names += [e.id for e in elements if isinstance(e, ast.Name)]
+    return names
+
+
+def _map_args(callee: FunctionInfo, call: ast.Call) -> List[Tuple[str, ast.expr]]:
+    """``(parameter name, argument expression)`` pairs for a call.
+
+    Method calls written through a receiver (``obj.meth(x)``) bind the
+    first declared parameter implicitly, so positionals shift by one.
+    Overflow into ``*args``/``**kwargs`` is dropped.
+    """
+    offset = (
+        1 if callee.is_method and callee.params
+        and callee.params[0] in ("self", "cls") else 0
+    )
+    pairs: List[Tuple[str, ast.expr]] = []
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            continue
+        slot = index + offset
+        if slot < len(callee.params):
+            pairs.append((callee.params[slot], arg))
+    for keyword in call.keywords:
+        if keyword.arg is not None and keyword.arg in callee.params:
+            pairs.append((keyword.arg, keyword.value))
+    return pairs
+
+
+def _call_args(call: ast.Call) -> List[ast.expr]:
+    return list(call.args) + [k.value for k in call.keywords]
 
 
 @dataclass
 class Summary:
-    """What one function does with secrets and with its parameters."""
+    """What one function does with tainted values and its parameters."""
 
-    returns_secret: bool = False
-    param_to_return: Set[str] = field(default_factory=set)
-    param_to_sink: Set[str] = field(default_factory=set)
+    returns: Set[str] = field(default_factory=set)  # kinds
+    param_to_return: Set[Label] = field(default_factory=set)
+    param_to_sink: Set[Label] = field(default_factory=set)
 
-    def snapshot(self) -> Tuple[bool, frozenset, frozenset]:
+    def snapshot(self) -> Tuple[FrozenSet[str], FrozenSet[Label], FrozenSet[Label]]:
         return (
-            self.returns_secret,
+            frozenset(self.returns),
             frozenset(self.param_to_return),
             frozenset(self.param_to_sink),
         )
 
 
 @dataclass(frozen=True)
-class TaintFinding:
-    """One interprocedural flow, pre-Rule packaging."""
+class Flow:
+    """Tainted material reaching an output channel."""
 
+    kind: str
+    #: False when the value came straight from a source call in the
+    #: same function; passing it to a publishing parameter crosses.
+    crossed: bool
     relpath: str
     line: int
-    message: str
+    function: str  # qualname of the function the flow is in
+    sink: Optional[str]  # sink suffix; None for a raise or a parameter
+    callee: str = ""  # set when passed to a publishing parameter
+    param: str = ""
+
+    def describe(self, noun: str, param_noun: str) -> str:
+        if self.callee:
+            return (
+                f"{param_noun} passed to {self.callee}() parameter "
+                f"'{self.param}', which publishes it"
+            )
+        if self.sink:
+            return (
+                f"{noun} reaches '{self.sink}' in {self.function}; "
+                "publish a digest or length instead"
+            )
+        return (
+            f"{noun} reaches an exception message in {self.function}; "
+            "exceptions cross the trust boundary"
+        )
+
+
+class _Site(NamedTuple):
+    """One call site, resolved once."""
+
+    sanitizer: bool
+    sources: FrozenSet[str]  # kinds this call is a source of
+    sinks: Dict[str, Optional[str]]  # kind -> sink suffix hit
+    callees: Tuple[Tuple[FunctionInfo, List[Tuple[str, ast.expr]]], ...]
+
+
+#: Shared by the many call sites that are neither sources nor sinks.
+_NO_KINDS: FrozenSet[str] = frozenset()
+_NO_SINKS: Dict[str, Optional[str]] = {}
+
+
+@dataclass
+class _Body:
+    """One function's AST, walked once: what every round re-evaluates."""
+
+    #: ``(value, target names, self attributes)`` in source order.
+    bindings: List[Tuple[ast.expr, List[str], List[str]]]
+    outputs: List[ast.expr]  # return (and, in generators, yield) values
+    calls: List[ast.Call]
+    raises: List[Tuple[int, List[ast.expr]]]
+
+
+def _body(info: FunctionInfo) -> _Body:
+    statements: List[ast.stmt] = []
+    body = _Body([], [], [], [])
+    for node in ast.walk(info.node):
+        if isinstance(node, ast.Call):
+            body.calls.append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)):
+            statements.append(node)
+        elif isinstance(node, ast.Return) and node.value is not None:
+            body.outputs.append(node.value)
+        elif isinstance(node, (ast.Yield, ast.YieldFrom)):
+            if info.is_generator and node.value is not None:
+                body.outputs.append(node.value)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc
+            if isinstance(exc, ast.Call):
+                body.raises.append((node.lineno, _call_args(exc)))
+            elif isinstance(exc, ast.Name):
+                body.raises.append((node.lineno, [exc]))
+    statements.sort(key=lambda s: (s.lineno, s.col_offset))
+    for statement in statements:
+        if isinstance(statement, ast.For):
+            target = statement.target
+            names = [target.id] if isinstance(target, ast.Name) else []
+            body.bindings.append((statement.iter, names, []))
+        elif statement.value is not None:  # not a bare annotation
+            targets = (
+                statement.targets if isinstance(statement, ast.Assign)
+                else [statement.target]
+            )
+            attrs = (
+                [t.attr for t in targets if _is_self_attr(t)]
+                if info.class_name else []
+            )
+            body.bindings.append((statement.value, _target_names(targets), attrs))
+    return body
+
+
+def _unindexed_functions(project: Project, indexed: Set[int]) -> List[FunctionInfo]:
+    """Outermost ``def`` s the call graph does not index (under a
+    module-level ``if``/``try``, in a nested class, in a file with no
+    module name): no call reaches them, but their bodies are checked."""
+    found: List[FunctionInfo] = []
+    for source in project.files:
+        stack: List[Tuple[ast.AST, Optional[str]]] = [(source.tree, None)]
+        while stack:
+            node, class_name = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if id(child) not in indexed:
+                        found.append(function_info(source, child, class_name))
+                    continue
+                inner = child.name if isinstance(child, ast.ClassDef) else class_name
+                stack.append((child, inner))
+    found.sort(key=lambda info: (info.relpath, info.line))
+    return found
 
 
 class TaintAnalysis:
-    """Summary computation + detection for one :class:`TaintConfig`."""
+    """Summaries, tainted attributes and flows for one project."""
 
     #: Fixpoint bounds: the label lattice is tiny, so these are never
     #: reached in practice — they are a defensive cap, not a tuning knob.
     MAX_GLOBAL_ROUNDS = 10
     MAX_LOCAL_ROUNDS = 20
 
-    def __init__(self, project: Project, config: TaintConfig) -> None:
+    def __init__(self, project: Project) -> None:
         self.project = project
-        self.config = config
-        self.graph: CallGraph = get_callgraph(project)
-        self.summaries: Dict[str, Summary] = {
-            q: Summary() for q in self.graph.functions
-        }
-        #: ``(class qualname, attr name)`` holding secret material.
-        self.secret_attrs: Set[Tuple[str, str]] = set()
-        self._resolution_cache: Dict[int, List[str]] = {}
-        self._stmt_cache: Dict[str, List[ast.stmt]] = {}
-        self._compute_summaries()
+        self.graph = get_callgraph(project)
+        functions = [self.graph.functions[q] for q in sorted(self.graph.functions)]
+        #: qualname -> summary, for every call-graph function.
+        self.summaries: Dict[str, Summary] = {f.qualname: Summary() for f in functions}
+        #: ``(kind, class qualname, attr name)`` holding tainted material.
+        self.attrs: Set[Tuple[str, str, str]] = set()
+        self._sites: Dict[int, _Site] = {}
+        unindexed = _unindexed_functions(project, {id(f.node) for f in functions})
+        self._units = [
+            (f, _body(f), self.summaries[f.qualname]) for f in functions
+        ] + [(f, _body(f), Summary()) for f in unindexed]
+        self.flows: List[Flow] = []
+        for _ in range(self.MAX_GLOBAL_ROUNDS):
+            before = self._state()
+            self.flows = []
+            for info, body, summary in self._units:
+                self._walk(info, body, summary)
+            if self._state() == before:
+                break
+        # Only summaries, attrs and flows outlive the fixpoint.
+        del self._units, self._sites
 
-    # -- call resolution -------------------------------------------------------
+    def _state(self) -> tuple:
+        summaries = [s.snapshot() for s in self.summaries.values()]
+        return summaries, frozenset(self.attrs)
 
-    def _callees_at(self, info: FunctionInfo, call: ast.Call) -> List[str]:
-        """Actionable callee qualnames for one call site (precise edges
-        plus unambiguous suffix matches)."""
-        key = id(call)
-        if key not in self._resolution_cache:
+    # -- call sites ------------------------------------------------------------
+
+    def _site(self, call: ast.Call, info: FunctionInfo) -> _Site:
+        site = self._sites.get(id(call))
+        if site is None:
+            name = dotted_name(call.func)
             source = self.project.by_module.get(info.module)
-            resolved = (
-                resolve_call(self.graph, source, info.class_name, call)
-                if source is not None else []
-            )
-            if len(resolved) > 1 and resolved[0][1] == "suffix":
-                resolved = []  # ambiguous — do not act on it
-            self._resolution_cache[key] = [
-                callee for callee, _ in resolved
-                if callee in self.graph.functions
+            callees = [
+                self.graph.functions[qualname] for qualname in (
+                    actionable_callees(self.graph, source, info.class_name, call)
+                    if source is not None else []
+                )
             ]
-        return self._resolution_cache[key]
-
-    def _map_args(
-        self, callee: FunctionInfo, call: ast.Call
-    ) -> List[Tuple[str, ast.expr]]:
-        """``(parameter name, argument expression)`` pairs for a call.
-
-        Method calls written through a receiver (``obj.meth(x)``) bind
-        the first declared parameter implicitly, so positionals shift
-        by one.  Overflow into ``*args``/``**kwargs`` is dropped.
-        """
-        offset = (
-            1 if callee.is_method and callee.params
-            and callee.params[0] in ("self", "cls") else 0
-        )
-        pairs: List[Tuple[str, ast.expr]] = []
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                continue
-            slot = index + offset
-            if slot < len(callee.params):
-                pairs.append((callee.params[slot], arg))
-        for keyword in call.keywords:
-            if keyword.arg is not None and keyword.arg in callee.params:
-                pairs.append((keyword.arg, keyword.value))
-        return pairs
+            site = _Site(
+                sanitizer=(
+                    name is not None
+                    and name.rsplit(".", 1)[-1] in SANITIZER_NAMES
+                ),
+                sources=frozenset(
+                    kind for kind, (sources, _) in KINDS.items()
+                    if _suffix_hit(name, sources)
+                ) or _NO_KINDS,
+                sinks={
+                    kind: hit for kind, (_, sinks) in KINDS.items()
+                    for hit in [_suffix_hit(name, sinks)] if hit
+                } or _NO_SINKS,
+                callees=tuple((f, _map_args(f, call)) for f in callees),
+            )
+            self._sites[id(call)] = site
+        return site
 
     # -- label evaluation ------------------------------------------------------
 
-    def _expr_labels(
+    def _labels(
         self,
         node: ast.AST,
-        env: Dict[str, Set[str]],
+        env: Dict[str, Set[Label]],
         info: FunctionInfo,
-    ) -> Set[str]:
-        """Taint labels carried by an expression.
+        kinds: FrozenSet[str],
+    ) -> Set[Label]:
+        """Labels of ``kinds`` carried by an expression."""
+        labels: Set[Label] = set()
+        owner = f"{info.module}.{info.class_name}" if info.class_name else None
 
-        Labels are ``secret`` (base source call), ``xsecret`` (crossed a
-        function boundary), and ``param:<name>`` (depends on a caller
-        argument — used only while computing summaries).
-        """
-        labels: Set[str] = set()
-
-        def visit(sub: ast.AST) -> None:
-            if _is_sanitizer_call(sub):
-                return  # a digest/length of a secret is public
+        def visit(sub: ast.AST, kinds: FrozenSet[str]) -> None:
             if isinstance(sub, ast.Name):
-                labels.update(env.get(sub.id, ()))
-            elif isinstance(sub, ast.Attribute):
+                labels.update(
+                    label for label in env.get(sub.id, ()) if label[0] in kinds
+                )
+                return
+            if isinstance(sub, ast.Attribute):
                 if sub.attr in PUBLIC_ATTRS:
                     return  # the public half of a keypair is public
-                chain = dotted_name(sub)
-                if (
-                    chain is not None
-                    and chain.startswith(("self.", "cls."))
-                    and chain.count(".") == 1
-                    and info.class_name is not None
-                ):
-                    key = (f"{info.module}.{info.class_name}", sub.attr)
-                    if key in self.secret_attrs:
-                        labels.add(XSECRET)
+                if owner is not None and _is_self_attr(sub):
+                    labels.update(
+                        (kind, CROSSED) for kind in kinds
+                        if (kind, owner, sub.attr) in self.attrs
+                    )
             elif isinstance(sub, ast.Call):
-                if self._call_labels(sub, env, info, labels):
-                    # A source call, or one resolved to a project
-                    # function: the summary decides what flows out, so
-                    # a tainted *argument* does not taint the result
-                    # (a constructor given a secret does not make the
-                    # whole object secret).  Unresolved calls (str(),
-                    # .hex(), joins) stay conservative below.
+                kinds = self._call_labels(sub, env, info, kinds, labels)
+                if not kinds:
                     return
             for child in ast.iter_child_nodes(sub):
-                visit(child)
+                visit(child, kinds)
 
-        visit(node)
+        visit(node, kinds)
         return labels
 
     def _call_labels(
         self,
         call: ast.Call,
-        env: Dict[str, Set[str]],
+        env: Dict[str, Set[Label]],
         info: FunctionInfo,
-        labels: Set[str],
-    ) -> bool:
-        """Labels a call's result carries; True when the call was a
-        source or resolved to project callees (summary is authoritative)."""
-        if _suffix_hit(dotted_name(call.func), self.config.source_suffixes):
-            labels.add(SECRET)
-            return True
-        callees = self._callees_at(info, call)
-        for callee_qual in callees:
-            summary = self.summaries[callee_qual]
-            if summary.returns_secret:
-                labels.add(XSECRET)
-            if summary.param_to_return:
-                callee = self.graph.functions[callee_qual]
-                for pname, arg in self._map_args(callee, call):
-                    if pname not in summary.param_to_return:
-                        continue
-                    arg_labels = self._expr_labels(arg, env, info)
-                    if arg_labels & _SECRETISH:
-                        labels.add(XSECRET)
+        kinds: FrozenSet[str],
+        labels: Set[Label],
+    ) -> FrozenSet[str]:
+        """Add the labels a call's result carries; return the kinds its
+        sub-expressions may still contribute."""
+        site = self._site(call, info)
+        if site.sanitizer:
+            return frozenset()  # a digest/length of a secret is public
+        labels.update((kind, DIRECT) for kind in site.sources & kinds)
+        kinds = kinds - site.sources
+        if not site.callees:
+            return kinds  # unresolved (str(), .hex(), joins): conservative
+        # Resolved to project functions: the summaries decide what flows
+        # out, so a tainted *argument* does not taint the result (a
+        # constructor given a secret does not make the object secret).
+        for callee, pairs in site.callees:
+            summary = self.summaries[callee.qualname]
+            labels.update((kind, CROSSED) for kind in summary.returns & kinds)
+            for pname, arg in pairs:
+                through = frozenset(
+                    kind for kind in kinds
+                    if (kind, pname) in summary.param_to_return
+                )
+                if through:
                     labels.update(
-                        label for label in arg_labels
-                        if label.startswith("param:")
+                        (kind, CROSSED if tag in _TAINTED else tag)
+                        for kind, tag in self._labels(arg, env, info, through)
                     )
-        return bool(callees)
+        return frozenset()
 
-    # -- per-function walk -----------------------------------------------------
+    # -- one round over one function -------------------------------------------
 
-    def _function_statements(self, info: FunctionInfo) -> List[ast.stmt]:
-        statements = self._stmt_cache.get(info.qualname)
-        if statements is None:
-            statements = [
-                s for s in ast.walk(info.node) if isinstance(s, ast.stmt)
-            ]
-            statements.sort(key=lambda s: (s.lineno, s.col_offset))
-            self._stmt_cache[info.qualname] = statements
-        return statements
+    def _walk(self, info: FunctionInfo, body: _Body, summary: Summary) -> None:
+        env: Dict[str, Set[Label]] = {
+            p: {(kind, p) for kind in KINDS}
+            for p in info.params if p not in ("self", "cls")
+        }
+        self._propagate(info, body, env)
+        for value in body.outputs:
+            for kind, tag in self._labels(value, env, info, ALL_KINDS):
+                if tag in _TAINTED:
+                    summary.returns.add(kind)
+                else:
+                    summary.param_to_return.add((kind, tag))
+        for call in body.calls:
+            self._check_call(call, env, info, summary)
+        for line, exprs in body.raises:
+            self._publish(info, line, exprs, env, _RAISE)
 
     def _propagate(
-        self,
-        info: FunctionInfo,
-        env: Dict[str, Set[str]],
-        statements: List[ast.stmt],
-        summary: Optional[Summary],
+        self, info: FunctionInfo, body: _Body, env: Dict[str, Set[Label]]
     ) -> None:
-        """Run assignments to a local fixpoint; when ``summary`` is
-        given, also record ``self.attr`` secret stores."""
+        """Run assignments to a local fixpoint, recording ``self.attr``
+        stores of tainted values."""
+        owner = f"{info.module}.{info.class_name}"
         for _ in range(self.MAX_LOCAL_ROUNDS):
             changed = False
-            for statement in statements:
-                value = getattr(statement, "value", None)
-                if isinstance(statement, ast.For):
-                    value = statement.iter
-                    targets = (
-                        [statement.target.id]
-                        if isinstance(statement.target, ast.Name) else []
-                    )
-                else:
-                    targets = _assign_targets(statement)
-                if value is None:
-                    continue
-                labels = self._expr_labels(value, env, info)
+            for value, names, attrs in body.bindings:
+                labels = self._labels(value, env, info, ALL_KINDS)
                 if not labels:
                     continue
-                for name in targets:
+                for name in names:
                     if not labels <= env.setdefault(name, set()):
                         env[name].update(labels)
                         changed = True
-                if (
-                    summary is not None
-                    and isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign))
-                    and labels & _SECRETISH
-                    and info.class_name is not None
-                ):
-                    raw_targets = (
-                        statement.targets
-                        if isinstance(statement, ast.Assign)
-                        else [statement.target]
-                    )
-                    for target in raw_targets:
-                        chain = dotted_name(target)
-                        if (
-                            chain is not None
-                            and chain.startswith(("self.", "cls."))
-                            and chain.count(".") == 1
-                        ):
-                            key = (
-                                f"{info.module}.{info.class_name}",
-                                chain.split(".", 1)[1],
-                            )
-                            if key not in self.secret_attrs:
-                                self.secret_attrs.add(key)
-                                changed = True
+                for attr in attrs:
+                    for kind, tag in labels:
+                        key = (kind, owner, attr)
+                        if tag in _TAINTED and key not in self.attrs:
+                            self.attrs.add(key)
+                            changed = True
             if not changed:
                 return
 
-    # -- summaries -------------------------------------------------------------
-
-    def _compute_summaries(self) -> None:
-        order = sorted(self.graph.functions)
-        for _ in range(self.MAX_GLOBAL_ROUNDS):
-            before = {
-                q: self.summaries[q].snapshot() for q in order
-            }
-            attrs_before = set(self.secret_attrs)
-            for qualname in order:
-                self._summarize(self.graph.functions[qualname])
-            if (
-                all(self.summaries[q].snapshot() == before[q] for q in order)
-                and self.secret_attrs == attrs_before
-            ):
-                return
-
-    def _summarize(self, info: FunctionInfo) -> None:
-        summary = self.summaries[info.qualname]
-        env: Dict[str, Set[str]] = {
-            p: {f"param:{p}"} for p in info.params if p not in ("self", "cls")
-        }
-        statements = self._function_statements(info)
-        self._propagate(info, env, statements, summary)
-        for statement in statements:
-            if isinstance(statement, ast.Return) and statement.value is not None:
-                labels = self._expr_labels(statement.value, env, info)
-                if labels & _SECRETISH:
-                    summary.returns_secret = True
-                summary.param_to_return.update(
-                    label.split(":", 1)[1] for label in labels
-                    if label.startswith("param:")
-                )
-            for node in ast.walk(statement):
-                if not isinstance(node, ast.Call):
-                    continue
-                sink_params = self._sink_arg_params(node, env, info)
-                summary.param_to_sink.update(sink_params)
-        # Generators publish through ``yield`` like a return.
-        if info.is_generator:
-            for statement in statements:
-                for node in ast.walk(statement):
-                    if isinstance(node, (ast.Yield, ast.YieldFrom)) and node.value:
-                        labels = self._expr_labels(node.value, env, info)
-                        if labels & _SECRETISH:
-                            summary.returns_secret = True
-                        summary.param_to_return.update(
-                            label.split(":", 1)[1] for label in labels
-                            if label.startswith("param:")
-                        )
-
-    def _sink_arg_params(
-        self, call: ast.Call, env: Dict[str, Set[str]], info: FunctionInfo
-    ) -> Set[str]:
-        """Parameters whose taint this call would publish: direct sink
-        calls, plus calls into a callee with ``param_to_sink``."""
-        params: Set[str] = set()
-        if _suffix_hit(dotted_name(call.func), self.config.sink_suffixes):
-            for arg in list(call.args) + [k.value for k in call.keywords]:
-                params.update(
-                    label.split(":", 1)[1]
-                    for label in self._expr_labels(arg, env, info)
-                    if label.startswith("param:")
-                )
-        for callee_qual in self._callees_at(info, call):
-            callee_summary = self.summaries[callee_qual]
-            if not callee_summary.param_to_sink:
-                continue
-            callee = self.graph.functions[callee_qual]
-            for pname, arg in self._map_args(callee, call):
-                if pname in callee_summary.param_to_sink:
-                    params.update(
-                        label.split(":", 1)[1]
-                        for label in self._expr_labels(arg, env, info)
-                        if label.startswith("param:")
-                    )
-        return params
-
-    # -- detection -------------------------------------------------------------
-
-    def findings(self) -> List[TaintFinding]:
-        """Flows visible with *no* assumptions about caller arguments."""
-        found: List[TaintFinding] = []
-        for qualname in sorted(self.graph.functions):
-            info = self.graph.functions[qualname]
-            found.extend(self._detect(info))
-        return found
-
-    def _detect(self, info: FunctionInfo) -> Iterable[TaintFinding]:
-        env: Dict[str, Set[str]] = {}
-        statements = self._function_statements(info)
-        self._propagate(info, env, statements, None)
-        # SEC001's own intra-procedural taint, used to avoid reporting
-        # the same leak twice when ``fire_intra`` is off.
-        intra: Set[str] = {
-            name for name, labels in env.items() if SECRET in labels
-        }
-        fire_on = (
-            _SECRETISH if self.config.fire_intra else frozenset((XSECRET,))
-        )
-        for statement in statements:
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Call):
-                    yield from self._detect_call(node, env, info, intra, fire_on)
-                elif isinstance(node, ast.Raise) and node.exc is not None:
-                    yield from self._detect_raise(node, env, info, fire_on)
-
-    def _already_sec001(
-        self, arg: ast.expr, intra: Set[str]
-    ) -> bool:
-        """Would SEC001 flag this sink argument on its own?"""
-        if self.config.fire_intra:
-            return False
-        return bool(_names_in(arg) & intra) or _contains_source_call(arg)
-
-    def _detect_call(
+    def _check_call(
         self,
         call: ast.Call,
-        env: Dict[str, Set[str]],
+        env: Dict[str, Set[Label]],
         info: FunctionInfo,
-        intra: Set[str],
-        fire_on: frozenset,
-    ) -> Iterable[TaintFinding]:
-        hit = _suffix_hit(dotted_name(call.func), self.config.sink_suffixes)
-        if hit:
-            for arg in list(call.args) + [k.value for k in call.keywords]:
-                labels = self._expr_labels(arg, env, info)
-                if labels & fire_on and not self._already_sec001(arg, intra):
-                    yield TaintFinding(
-                        info.relpath, call.lineno,
-                        f"{self.config.noun} reaches '{hit}' in "
-                        f"{info.qualname}; publish a digest or length "
-                        "instead",
-                    )
-                    break
-        for callee_qual in self._callees_at(info, call):
-            summary = self.summaries[callee_qual]
-            if not summary.param_to_sink:
+        summary: Summary,
+    ) -> None:
+        """A sink call publishes its arguments; a call into a publishing
+        parameter publishes that argument."""
+        site = self._site(call, info)
+        if site.sinks:
+            labels = self._publish(
+                info, call.lineno, _call_args(call), env, site.sinks
+            )
+            summary.param_to_sink.update(
+                label for label in labels if label[1] not in _TAINTED
+            )
+        for callee, pairs in site.callees:
+            to_sink = self.summaries[callee.qualname].param_to_sink
+            if not to_sink:
                 continue
-            callee = self.graph.functions[callee_qual]
-            for pname, arg in self._map_args(callee, call):
-                if pname not in summary.param_to_sink:
+            fired: Set[str] = set()
+            for pname, arg in pairs:
+                through = frozenset(k for k in KINDS if (k, pname) in to_sink)
+                if not through:
                     continue
-                labels = self._expr_labels(arg, env, info)
-                if labels & _SECRETISH:
-                    yield TaintFinding(
-                        info.relpath, call.lineno,
-                        f"{self.config.param_noun} passed to "
-                        f"{callee.qualname}() parameter '{pname}', "
-                        "which publishes it",
-                    )
-                    break
+                for kind, tag in self._labels(arg, env, info, through):
+                    if tag not in _TAINTED:
+                        summary.param_to_sink.add((kind, tag))
+                    elif kind not in fired:
+                        fired.add(kind)
+                        self.flows.append(Flow(
+                            kind, True, info.relpath, call.lineno,
+                            info.qualname, None, callee.qualname, pname,
+                        ))
 
-    def _detect_raise(
+    def _publish(
         self,
-        node: ast.Raise,
-        env: Dict[str, Set[str]],
         info: FunctionInfo,
-        fire_on: frozenset,
-    ) -> Iterable[TaintFinding]:
-        exc = node.exc
-        exprs: List[ast.expr] = []
-        if isinstance(exc, ast.Call):
-            exprs = list(exc.args) + [k.value for k in exc.keywords]
-        elif isinstance(exc, ast.Name):
-            exprs = [exc]
+        line: int,
+        exprs: List[ast.expr],
+        env: Dict[str, Set[Label]],
+        sinks: Dict[str, Optional[str]],
+    ) -> Set[Label]:
+        """Record flows for the values one sink call or raise publishes
+        (``sinks``: kind -> sink suffix): per kind, the first direct and
+        the first crossed-only value.  Returns every label seen."""
+        kinds = frozenset(sinks)
+        seen: Set[Label] = set()
+        fired: Set[Tuple[str, bool]] = set()
         for expr in exprs:
-            if self._expr_labels(expr, env, info) & fire_on:
-                yield TaintFinding(
-                    info.relpath, node.lineno,
-                    f"{self.config.noun} reaches an exception message "
-                    f"in {info.qualname}; exceptions cross the trust "
-                    "boundary",
-                )
-                return
+            labels = self._labels(expr, env, info, kinds)
+            seen |= labels
+            for kind in kinds:
+                if (kind, DIRECT) in labels:
+                    key = (kind, False)
+                elif (kind, CROSSED) in labels:
+                    key = (kind, True)
+                else:
+                    continue
+                if key not in fired:
+                    fired.add(key)
+                    self.flows.append(Flow(
+                        kind, key[1], info.relpath, line, info.qualname,
+                        sinks[kind],
+                    ))
+        return seen
 
 
-def run_taint(project: Project, config: TaintConfig) -> List[TaintFinding]:
-    """One full analysis pass; convenience for rules and tests."""
-    return TaintAnalysis(project, config).findings()
+def get_taint(project: Project) -> TaintAnalysis:
+    """The project's taint analysis, built once and cached on the
+    project (the first taint rule to ask pays for it)."""
+    cached = getattr(project, "_taint", None)
+    if cached is None:
+        cached = TaintAnalysis(project)
+        project._taint = cached
+    return cached
 
 
 @register
 class InterproceduralSecretFlowRule(Rule):
     """Secrets must not leak through wrapper functions into sinks.
 
-    Where SEC001 checks one function at a time, SEC002 propagates taint
-    from ``unseal``/``get_random``/key-generation calls through function
-    summaries computed over the project call graph: a function that
-    *returns* a secret, *forwards* a parameter to its return value,
-    *publishes* a parameter to a sink, or *stores* a secret on ``self``
-    extends the flow into every caller.  A finding fires when such a
-    cross-function flow reaches the SEC001 sinks (logging, trace
-    events, observability spans, ``print``, raised exception messages).
+    SEC002 reports secret flows that cross a function boundary, read
+    from the shared taint analysis (:mod:`repro.analysis.interproc`): a
+    function that *returns* a secret, *forwards* a parameter to its
+    return value, *publishes* a parameter to a sink, or *stores* a
+    secret on ``self`` extends the flow into every caller.  A finding
+    fires when such a flow reaches the SEC001 sinks (logging, trace
+    events, observability spans, ``print``, raised exception messages),
+    or when a secret is passed to a parameter that a callee publishes.
+    A value straight from a source in the same function is SEC001's, so
+    each leak is reported once.
 
     The same sanitizers apply — route the value through ``sha1``/
     ``len``/``io_measurement`` to publish a digest or size.  Calls only
@@ -539,7 +603,10 @@ class InterproceduralSecretFlowRule(Rule):
     scope = "project"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        for hit in run_taint(project, TaintConfig()):
-            yield Finding(
-                self.id, hit.relpath, hit.line, hit.message, self.severity
-            )
+        for flow in get_taint(project).flows:
+            if flow.kind == "secret" and flow.crossed:
+                yield Finding(
+                    self.id, flow.relpath, flow.line,
+                    flow.describe("secret from another function", "secret value"),
+                    self.severity,
+                )

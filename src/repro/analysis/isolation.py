@@ -24,10 +24,10 @@ Two rules audit this over the project call graph
 * **ISO002** — tenant snapshot material (``export_tenant`` output
   carries a tenant's full sealed storage, keys and counters) must
   never reach shared logs, trace events, exception messages, or NV
-  writes.  This is the interprocedural taint machinery of
-  :mod:`repro.analysis.interproc` with snapshot vocabulary; the only
-  legitimate consumers are ``import_tenant``/``remove_tenant`` on the
-  migration path, which are not sinks.
+  writes.  These are the ``snapshot`` flows of the shared taint
+  analysis (:mod:`repro.analysis.interproc`); the only legitimate
+  consumers are ``import_tenant``/``remove_tenant`` on the migration
+  path, which are not sinks.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ import ast
 from typing import Dict, Iterable, List, Set
 
 from repro.analysis.astutil import dotted_name
-from repro.analysis.callgraph import get_callgraph, resolve_call
+from repro.analysis.callgraph import actionable_callees, get_callgraph
 from repro.analysis.engine import Finding, Project, Rule, SourceFile, register
-from repro.analysis.interproc import TaintConfig, run_taint
-from repro.analysis.secret_flow import SINK_SUFFIXES
+from repro.analysis.interproc import get_taint
 
 #: Module prefixes whose TPM access must be tenant-bound.
 TENANT_SCOPED_PREFIXES = ("repro.vtpm", "repro.dist")
@@ -111,12 +110,10 @@ def _untenanted_interface_returners(project: Project) -> Set[str]:
                         returners.add(qualname)
                         changed = True
                         break
-                    resolved = resolve_call(
+                    callees = actionable_callees(
                         graph, source, info.class_name, sub
                     )
-                    if len(resolved) > 1 and resolved[0][1] == "suffix":
-                        continue
-                    if any(callee in returners for callee, _ in resolved):
+                    if any(callee in returners for callee in callees):
                         returners.add(qualname)
                         changed = True
                         break
@@ -196,10 +193,7 @@ class TenantBoundAccessRule(Rule):
                     "tenant",
                 )
                 return
-            resolved = resolve_call(graph, source, class_name, call)
-            if len(resolved) > 1 and resolved[0][1] == "suffix":
-                return
-            for callee, _ in resolved:
+            for callee in actionable_callees(graph, source, class_name, call):
                 if callee in returners:
                     yield self.finding(
                         source, call.lineno,
@@ -225,12 +219,13 @@ class TenantSnapshotLeakRule(Rule):
     channel) hands one tenant's state to whoever reads the shared
     medium.
 
-    The rule reuses the interprocedural taint engine: snapshots stay
-    tainted across function boundaries and attribute stores, and the
-    ``sha1``/``len`` sanitizers apply — logging a snapshot digest for
-    the attestation trail is fine.  The legitimate consumers,
-    ``import_tenant`` and ``remove_tenant``, are not sinks and need no
-    special-casing.
+    The rule reads the ``snapshot`` flows of the shared taint analysis
+    (:mod:`repro.analysis.interproc`), whether or not they cross a
+    function boundary: snapshots stay tainted across calls and attribute
+    stores, and the ``sha1``/``len`` sanitizers apply — logging a
+    snapshot digest for the attestation trail is fine.  The legitimate
+    consumers, ``import_tenant`` and ``remove_tenant``, are not sinks
+    and need no special-casing.
     """
 
     id = "ISO002"
@@ -238,16 +233,11 @@ class TenantSnapshotLeakRule(Rule):
     severity = "error"
     scope = "project"
 
-    CONFIG = TaintConfig(
-        source_suffixes=("export_tenant",),
-        sink_suffixes=SINK_SUFFIXES + ("nv_write", "nv_define_space"),
-        fire_intra=True,
-        noun="tenant snapshot material",
-        param_noun="tenant snapshot material",
-    )
-
     def check_project(self, project: Project) -> Iterable[Finding]:
-        for hit in run_taint(project, self.CONFIG):
-            yield Finding(
-                self.id, hit.relpath, hit.line, hit.message, self.severity
-            )
+        noun = "tenant snapshot material"
+        for flow in get_taint(project).flows:
+            if flow.kind == "snapshot":
+                yield Finding(
+                    self.id, flow.relpath, flow.line,
+                    flow.describe(noun, noun), self.severity,
+                )

@@ -36,8 +36,8 @@ from repro.analysis.astutil import dotted_name
 from repro.analysis.callgraph import (
     CallGraph,
     FunctionInfo,
+    actionable_callees,
     get_callgraph,
-    resolve_call,
 )
 from repro.analysis.engine import Finding, Project, Rule, register
 
@@ -120,10 +120,7 @@ def find_spawned_bodies(project: Project) -> List[SpawnedBody]:
             for arg in call.args:
                 if not isinstance(arg, ast.Call):
                     continue
-                resolved = resolve_call(graph, source, class_name, arg)
-                if len(resolved) > 1 and resolved[0][1] == "suffix":
-                    continue
-                for callee, _ in resolved:
+                for callee in actionable_callees(graph, source, class_name, arg):
                     info = graph.functions.get(callee)
                     if info is None or not info.is_generator:
                         continue

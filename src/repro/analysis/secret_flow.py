@@ -3,205 +3,65 @@
 The simulation's security invariant (pinned dynamically by the fault
 campaign's leak detector) is that secrets released by the TPM — unsealed
 plaintext, GetRandom output, generated private keys — stay inside the
-session.  This rule checks the same property statically, per function:
-a value produced by a secret-bearing call must not flow into logging,
-trace events, observability spans/events, exception messages or
-``print`` — all of which end up in exporter payloads, reports, or the
-terminal.
+session.  SEC001 checks the same property statically: a value produced
+by a secret-bearing call must not flow into logging, trace events,
+observability spans/events, exception messages or ``print`` — all of
+which end up in exporter payloads, reports, or the terminal.
 
-The taint tracking is intentionally simple (intra-procedural, name
-based): assignments from a secret source taint the target names; any
-expression mentioning a tainted name is tainted; passing taint through
-a *measurement* function (``sha1``/``sha512``/``md5``/``hmac_sha1``/
-``len``/``io_measurement``/``measure``) sanitizes it, because digests
-and lengths are exactly what the paper's protocols make public.
-
-Simple is the point: the PAL programming model keeps security-sensitive
-functions small (everything in them is measured into PCR 17), so an
-intra-procedural check covers the code that matters.
+SEC001 is the same-function slice of the shared taint analysis
+(:mod:`repro.analysis.interproc`): the flows whose secret label never
+crossed a function boundary.  Flows through wrappers are SEC002's, so
+one engine decides what is tainted and each leak is reported once.
+Passing a secret through a *measurement* function (``sha1``/``sha512``/
+``md5``/``hmac_sha1``/``len``/``io_measurement``/``measure``) sanitizes
+it, because digests and lengths are exactly what the paper's protocols
+make public.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterable, List, Optional, Set
+from typing import Iterable
 
-from repro.analysis.astutil import dotted_name
-from repro.analysis.engine import Finding, Rule, SourceFile, register
-
-#: Call-name suffixes whose return value is secret.
-SECRET_SOURCE_SUFFIXES = (
-    "unseal",
-    "get_random",
-    "generate_rsa_keypair",
-    "generate_keypair",
-    "derive_key",
-)
-
-#: Call-name suffixes that publish their arguments.
-SINK_SUFFIXES = (
-    "print",
-    "emit",          # trace events
-    "event",         # observability instant events
-    "span",          # observability spans (args land in exports)
-    "record_metrics",
-    "debug", "info", "warning", "error", "exception", "critical", "log",
-)
-
-#: Measurement/size functions whose output is public by design.  Note
-#: ``.hex()`` is *not* here: hex is an encoding, not a digest — the hex
-#: of a secret is the secret.
-SANITIZER_NAMES = (
-    "sha1", "sha512", "md5", "hmac_sha1", "sha1_cached",
-    "len", "measure", "io_measurement", "type", "isinstance",
-)
-
-
-def _suffix_hit(name: Optional[str], suffixes: Iterable[str]) -> Optional[str]:
-    if name is None:
-        return None
-    for suffix in suffixes:
-        if name == suffix or name.endswith("." + suffix):
-            return suffix
-    return None
-
-
-def _is_sanitizer_call(node: ast.AST) -> bool:
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name is None:
-            return False
-        last = name.rsplit(".", 1)[-1]
-        return last in SANITIZER_NAMES
-    return False
-
-
-def _names_in(node: ast.AST) -> Set[str]:
-    """Names mentioned in an expression, not descending into sanitizer
-    calls (a digest of a secret is not a secret)."""
-    names: Set[str] = set()
-
-    def visit(sub: ast.AST) -> None:
-        if _is_sanitizer_call(sub):
-            return
-        if isinstance(sub, ast.Name):
-            names.add(sub.id)
-        for child in ast.iter_child_nodes(sub):
-            visit(child)
-
-    visit(node)
-    return names
-
-
-def _contains_source_call(node: ast.AST) -> bool:
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call) and _suffix_hit(
-            dotted_name(sub.func), SECRET_SOURCE_SUFFIXES
-        ):
-            return True
-    return False
-
-
-def _assign_targets(node: ast.stmt) -> List[str]:
-    targets: List[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)) and getattr(node, "value", None):
-        targets = [node.target]
-    names: List[str] = []
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if isinstance(element, ast.Name):
-                    names.append(element.id)
-    return names
+from repro.analysis.engine import Finding, Project, Rule, register
+from repro.analysis.interproc import get_taint
 
 
 @register
 class SecretToSinkRule(Rule):
     """Values from Unseal/GetRandom/key generation must not be published.
 
-    Within each function, names assigned from a secret-bearing call
+    Within each function, values from a secret-bearing call
     (``*.unseal(...)``, ``*.get_random(...)``,
     ``generate_rsa_keypair(...)``, …) are tainted, and taint follows
-    assignments.  A finding fires when a tainted name — or a secret
-    call's result directly — appears in the arguments of ``print``,
-    ``logging`` methods, ``*.emit(...)`` trace events, ``*.event(...)``
-    / ``*.span(...)`` observability calls, or in a raised exception's
-    message.
+    assignments and ``for`` targets.  A finding fires when such a value
+    reaches the arguments of ``print``, ``logging`` methods,
+    ``*.emit(...)`` trace events, ``*.event(...)`` / ``*.span(...)``
+    observability calls, or a raised exception's message.  A secret that
+    passed through a project function on the way is SEC002's finding
+    instead; both rules read the one shared taint analysis.
 
     Publishing a *digest* or a *length* of a secret is fine (that is
     how the paper's protocols communicate): pass the value through
-    ``sha1``/``len``/``io_measurement`` first.  If a site is a true
-    false positive, suppress it with ``# repro: noqa[SEC001]`` plus a
-    comment saying why the value is not secret.
+    ``sha1``/``len``/``io_measurement`` first.  The public half of a
+    keypair (``.public``, ``.public_key``) is public too.  If a site is
+    a true false positive, suppress it with ``# repro: noqa[SEC001]``
+    plus a comment saying why the value is not secret.
     """
 
     id = "SEC001"
     title = "secret value flows into an output channel"
     severity = "error"
 
-    def check_file(self, source: SourceFile) -> Iterable[Finding]:
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(source, node)
-
-    def _check_function(self, source: SourceFile, func: ast.AST) -> Iterable[Finding]:
-        tainted: Set[str] = set()
-        statements = [s for s in ast.walk(func) if isinstance(s, ast.stmt)]
-        statements.sort(key=lambda s: (s.lineno, s.col_offset))
-
-        # Pass 1: propagate taint through assignments to a fixpoint —
-        # a single source-order sweep misses loops where the taint's
-        # defining assignment sits *below* the use that re-binds it.
-        changed = True
-        while changed:
-            changed = False
-            for statement in statements:
-                names = _assign_targets(statement)
-                if not names or set(names) <= tainted:
-                    continue
-                value = getattr(statement, "value", None)
-                if value is None:
-                    continue
-                if _contains_source_call(value) or (_names_in(value) & tainted):
-                    tainted.update(names)
-                    changed = True
-
-        # Pass 2: flag sinks that mention tainted names or source calls.
-        for statement in statements:
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Call):
-                    hit = _suffix_hit(dotted_name(node.func), SINK_SUFFIXES)
-                    if not hit:
-                        continue
-                    for arg in list(node.args) + [k.value for k in node.keywords]:
-                        if (_names_in(arg) & tainted) or _contains_source_call(arg):
-                            yield self.finding(
-                                source, node.lineno,
-                                f"secret-derived value reaches '{hit}' "
-                                "output; log a digest or length instead",
-                            )
-                            break
-                elif isinstance(node, ast.Raise) and node.exc is not None:
-                    exc = node.exc
-                    args: List[ast.expr] = []
-                    if isinstance(exc, ast.Call):
-                        args = list(exc.args) + [k.value for k in exc.keywords]
-                    # ``raise err`` where err was built from a tainted
-                    # message (e.g. an f-string) leaks exactly like the
-                    # inline ``raise Error(f"… {secret}")`` form.
-                    raised_tainted_name = (
-                        isinstance(exc, ast.Name) and exc.id in tainted
-                    )
-                    if raised_tainted_name or any(
-                        (_names_in(a) & tainted) or _contains_source_call(a)
-                        for a in args
-                    ):
-                        yield self.finding(
-                            source, node.lineno,
-                            "secret-derived value reaches an exception "
-                            "message; exceptions cross the trust boundary",
-                        )
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        for flow in get_taint(project).flows:
+            if flow.kind != "secret" or flow.crossed:
+                continue
+            where = (
+                f"'{flow.sink}' output; log a digest or length instead"
+                if flow.sink else
+                "an exception message; exceptions cross the trust boundary"
+            )
+            yield Finding(
+                self.id, flow.relpath, flow.line,
+                f"secret-derived value reaches {where}", self.severity,
+            )

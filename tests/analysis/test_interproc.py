@@ -1,11 +1,13 @@
 """Interprocedural rule tests: SEC002 cross-function secret flow,
 ISO001/ISO002 tenant isolation, RACE001 scheduler sharing — one
-positive and one negative synthetic project per behaviour."""
+positive and one negative synthetic project per behaviour — and the
+sharing of one taint analysis per project."""
 
 import textwrap
 
-from repro.analysis.engine import Project, parse_source, run_rules
-from repro.analysis.interproc import InterproceduralSecretFlowRule
+from repro.analysis import interproc
+from repro.analysis.engine import Project, all_rules, parse_source, run_rules
+from repro.analysis.interproc import InterproceduralSecretFlowRule, get_taint
 from repro.analysis.isolation import TenantBoundAccessRule, TenantSnapshotLeakRule
 from repro.analysis.races import SchedulerSharedStateRule, find_spawned_bodies
 
@@ -464,3 +466,50 @@ class TestRACE001:
         bodies = find_spawned_bodies(project)
         assert [b.qualname for b in bodies] == ["repro.sim.two.a"]
         assert bodies[0].multi_instance
+
+
+# -- one taint analysis per project --------------------------------------------
+
+LEAKY_FILES = {
+    "src/repro/vtpm/leak.py": """
+        def load(ctx):
+            return ctx.tpm.unseal(ctx.blob)
+
+        def leak(ctx, log, mux, tenant):
+            log.info(ctx.tpm.unseal(ctx.blob))
+            log.info(load(ctx))
+            log.info(mux.export_tenant(tenant))
+    """,
+}
+
+
+def test_two_projects_never_share_a_cached_analysis(tmp_path):
+    first = make_project(tmp_path, LEAKY_FILES)
+    second = make_project(tmp_path, {"src/repro/sim/clean.py": "X = 1\n"})
+    assert get_taint(first) is get_taint(first)
+    assert get_taint(first) is not get_taint(second)
+    assert get_taint(first).flows and not get_taint(second).flows
+
+
+def test_one_lint_run_builds_one_fixpoint(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(interproc.TaintAnalysis):
+        def __init__(self, project):
+            built.append(project)
+            super().__init__(project)
+
+    monkeypatch.setattr(interproc, "TaintAnalysis", Counting)
+    project = make_project(tmp_path, LEAKY_FILES)
+    findings = run_rules(project, [
+        rule for rule in all_rules() if rule.id in ("ISO002", "SEC001", "SEC002")
+    ])
+    assert rules_of(findings) == ["SEC001", "SEC002", "ISO002"]
+    assert built == [project]
+
+
+def test_each_taint_rule_works_alone(tmp_path):
+    for rule in all_rules():
+        if rule.id in ("ISO002", "SEC001", "SEC002"):
+            project = make_project(tmp_path, LEAKY_FILES)
+            assert rules_of(run_rules(project, [rule])) == [rule.id]

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.analysis import analyze_source
+from repro.analysis import analyze_source, get_rule
 from repro.analysis.engine import Project, parse_source, run_rules
 from repro.analysis.tcb import TCBForbiddenImportRule
 
@@ -174,6 +174,59 @@ class TestIdSortKey:
 
 # -- SEC001: secret flow -------------------------------------------------------
 
+# Snippets on which SEC001/SEC002 deliberately differ from the former
+# name-based SEC001 walk; test_taint_differential pins both sides.
+SECRET_FOR_TARGET = """
+    def dump(tpm, blob):
+        for chunk in tpm.unseal(blob):
+            print(chunk)
+"""
+PUBLIC_HALF_OF_KEYPAIR = """
+    from repro.crypto.rsa import generate_rsa_keypair
+
+    def show(rng):
+        kp = generate_rsa_keypair(rng, 512)
+        print(kp.public)
+"""
+CONSTANT_FROM_PROJECT_FUNCTION = """
+    def classify(value):
+        return 0
+
+    def show(tpm, blob):
+        key = tpm.unseal(blob)
+        print(classify(key))
+"""
+SECRET_THROUGH_WRAPPER = """
+    def wrap(value):
+        return value
+
+    def show(tpm, blob):
+        key = tpm.unseal(blob)
+        print(wrap(key))
+"""
+DIGEST_OF_INLINE_SOURCE = """
+    def show(tpm, blob, sha1):
+        digest = sha1(tpm.unseal(blob))
+        print(digest, len(tpm.get_random(4)))
+"""
+RAISE_OF_DIRECT_AND_WRAPPED_SECRET = """
+    def load(tpm, blob):
+        return tpm.unseal(blob)
+
+    def check(tpm, blob):
+        key = tpm.unseal(blob)
+        raise ValueError(key + load(tpm, blob))
+"""
+
+
+def analyze_secret_rules(snippet):
+    """SEC001 and SEC002 together, as a full lint run reports them."""
+    return analyze_source(
+        textwrap.dedent(snippet), module="repro.sim.example",
+        rules=[get_rule("SEC001"), get_rule("SEC002")],
+    )
+
+
 class TestSecretFlow:
     def test_unseal_to_print_flagged(self):
         findings = analyze("""
@@ -286,6 +339,48 @@ class TestSecretFlow:
                     log.info(copy)
                     key = tpm.unseal(blob)
         """)) == ["SEC001"]
+
+    def test_functions_outside_the_call_graph_checked(self):
+        # Neither def is a call-graph function (one sits under a
+        # module-level ``if``, one in a nested class); both are checked.
+        findings = analyze("""
+            import sys
+
+            if sys.platform:
+                def leak(tpm, blob):
+                    print(tpm.unseal(blob))
+
+            class Outer:
+                class Inner:
+                    def leak(self, tpm, blob):
+                        print(tpm.unseal(blob))
+        """)
+        assert [(f.rule, f.line) for f in findings] == [
+            ("SEC001", 6), ("SEC001", 11),
+        ]
+
+    def test_for_target_over_secret_flagged(self):
+        assert rules_of(analyze(SECRET_FOR_TARGET)) == ["SEC001"]
+
+    def test_public_half_of_keypair_ok(self):
+        assert analyze(PUBLIC_HALF_OF_KEYPAIR) == []
+
+    def test_constant_from_project_function_ok(self):
+        # The callee's summary decides what flows out of a resolved call.
+        assert analyze(CONSTANT_FROM_PROJECT_FUNCTION) == []
+
+    def test_secret_through_wrapper_reported_once_as_sec002(self):
+        findings = analyze_secret_rules(SECRET_THROUGH_WRAPPER)
+        assert rules_of(findings) == ["SEC002"]
+        assert findings[0].line == 7
+
+    def test_digest_of_inline_source_call_ok(self):
+        assert analyze(DIGEST_OF_INLINE_SOURCE) == []
+
+    def test_raise_of_direct_and_wrapped_secret_reported_once(self):
+        assert rules_of(
+            analyze_secret_rules(RAISE_OF_DIRECT_AND_WRAPPED_SECRET)
+        ) == ["SEC001"]
 
 
 # -- TCB001: forbidden imports (needs a multi-file project) --------------------
