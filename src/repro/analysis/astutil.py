@@ -24,13 +24,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def call_name(node: ast.AST) -> Optional[str]:
-    """The dotted name of a call's callee, or ``None``."""
-    if isinstance(node, ast.Call):
-        return dotted_name(node.func)
-    return None
-
-
 def count_loc(text: str) -> int:
     """Lines of code: non-blank lines that are not pure comments.
 

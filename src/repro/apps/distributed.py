@@ -577,7 +577,9 @@ class FleetProject:
     link, every client machine computes inside its own Flicker sessions
     (interleaved in virtual time with all the others), and the server
     verifies each attestation as it arrives — no barrier between
-    clients, exactly one verification per returned unit.
+    clients, exactly one verification per returned unit.  Verification
+    runs as its own process on the fleet's verification clock, so
+    dispatch never waits behind a verify.
 
     Usage::
 
@@ -597,14 +599,8 @@ class FleetProject:
         units_per_client: int = 1,
         slice_ms: float = 2000.0,
         range_per_unit: int = 400,
-        os_gap_ms: float = 0.0,
-        verify_mode: str = "scheduled",
         clients: Optional[int] = None,
     ) -> None:
-        if verify_mode not in ("scheduled", "inline"):
-            raise ValueError(
-                f"verify_mode must be 'scheduled' or 'inline', not {verify_mode!r}"
-            )
         if clients is not None and not 0 <= clients <= len(fleet.hosts):
             raise ValueError("clients must be between 0 and the fleet size")
         self.fleet = fleet
@@ -616,16 +612,6 @@ class FleetProject:
         self.server = BOINCServer(n=n, range_per_unit=range_per_unit)
         self.units_per_client = units_per_client
         self.slice_ms = slice_ms
-        #: Virtual time the untrusted OS keeps the machine between slices
-        #: (0 = immediately start the next session).
-        self.os_gap_ms = os_gap_ms
-        #: ``"scheduled"`` (default) runs attestation checks as their own
-        #: process on the fleet's verification clock, so dispatch never
-        #: waits behind a verify; ``"inline"`` is the legacy behavior —
-        #: the server loop verifies each result before dispatching the
-        #: next unit, stalling every client behind the verification
-        #: backlog (kept for the pinned timing-difference regression).
-        self.verify_mode = verify_mode
         self._nonce_counter = 0
         self._assigned: Dict[str, int] = {}
         self._outcomes: Dict[str, FleetMachineOutcome] = {}
@@ -650,10 +636,9 @@ class FleetProject:
                                  nonce=self._fresh_nonce())
         )
 
-    def _verify(self, message: UnitResult, clock=None) -> bool:
-        """Verify one arriving result on ``clock`` (default: the server
-        host's dispatch clock — the legacy inline accounting)."""
-        clock = clock if clock is not None else self.fleet.server_clock
+    def _verify(self, message: UnitResult) -> bool:
+        """Verify one arriving result on the fleet's verification clock."""
+        clock = self.fleet.verify_clock
         host = self.fleet.host(message.machine_id)
         ops_ms = self.fleet.profile.host.rsa1024_public_op_ms * VERIFY_PUBLIC_OPS
         with clock.span("verify-result"):
@@ -689,9 +674,9 @@ class FleetProject:
             self._dispatch(host)
 
     def _server_proc(self):
-        """Scheduled mode: forward results to the verification worker
-        and dispatch the client's next unit *immediately* — a slow
-        verify can no longer stall the whole fleet's dispatch."""
+        """Forward results to the verification worker and dispatch the
+        client's next unit *immediately* — a slow verify never stalls
+        the whole fleet's dispatch."""
         expected = self._expected_units
         self._init_dispatch()
         verified = 0
@@ -712,23 +697,10 @@ class FleetProject:
         expected = self._expected_units
         for _ in range(expected):
             message = yield self.fleet.verify_mailbox.receive()
-            ok = self._verify(message, clock=self.fleet.verify_clock)
+            ok = self._verify(message)
             self.fleet.post_local(self.fleet.verify_clock,
                                   self.fleet.server_mailbox,
                                   VerifiedUnit(message=message, ok=ok))
-
-    def _server_proc_inline(self):
-        """Legacy mode: verify on the dispatch loop, stalling the next
-        dispatch behind every verification."""
-        expected = self._expected_units
-        self._init_dispatch()
-        received = 0
-        while received < expected:
-            message = yield self.fleet.server_mailbox.receive()
-            received += 1
-            self._record_outcome(VerifiedUnit(message, self._verify(message)))
-            self._finished_at_ms = self.fleet.server_clock.now()
-            self._dispatch(self.fleet.host(message.machine_id))
 
     # -- client side -----------------------------------------------------------
 
@@ -744,7 +716,7 @@ class FleetProject:
                 # The OS gets the machine back between slices (§6.2); the
                 # yield is the scheduling point that lets every other
                 # machine's earlier events run first.
-                yield self.os_gap_ms
+                yield 0.0
                 progress, result = client.work_slice(
                     progress, self.slice_ms, nonce=message.nonce
                 )
@@ -764,11 +736,8 @@ class FleetProject:
         """Spawn every process, drive the schedule dry, and report."""
         for host in self._participants():
             self.fleet.spawn(host, self._client_proc(host))
-        if self.verify_mode == "scheduled":
-            self.fleet.spawn_server(self._server_proc())
-            self.fleet.spawn_verifier(self._verifier_proc())
-        else:
-            self.fleet.spawn_server(self._server_proc_inline())
+        self.fleet.spawn_server(self._server_proc())
+        self.fleet.spawn_verifier(self._verifier_proc())
         self.fleet.run()
         return self._build_report()
 

@@ -88,11 +88,6 @@ class SLBLayout:
         """Third page above the SLB: saved kernel state + session nonce."""
         return self.end + 2 * PARAM_PAGE_SIZE
 
-    @property
-    def total_footprint(self) -> int:
-        """Bytes from ``base`` to the end of the saved-state page."""
-        return SLB_REGION_SIZE + 3 * PARAM_PAGE_SIZE
-
     # -- PAL-visible window -----------------------------------------------------------
 
     @property

@@ -75,9 +75,3 @@ class PALSecureChannelEndpoint:
             raise SecureChannelError(f"bad sealed key data: {exc}") from exc
         private = RSAPrivateKey.decode(ctx.tpm.unseal(sealed))
         return ctx.crypto.rsa_decrypt(private, ciphertext)
-
-    def unseal_private_key(self, sdata: bytes) -> RSAPrivateKey:
-        """Recover the channel private key without decrypting anything —
-        used by PALs that *sign* with it (the CA) rather than decrypt."""
-        sealed = SealedBlob.decode(sdata)
-        return RSAPrivateKey.decode(self._ctx.tpm.unseal(sealed))

@@ -181,8 +181,3 @@ class NetworkLink:
         e.g. checking no cleartext password ever crosses the wire.
         """
         return list(self._messages)
-
-    def message_log(self) -> List[Tuple[str, str, Any]]:
-        """Deprecated alias of :meth:`messages` (kept for callers of the
-        pre-fleet API)."""
-        return self.messages()

@@ -9,6 +9,12 @@ results deterministically get **byte-identical output regardless of
 worker count**, and that property is what the parallel-vs-serial tests
 pin.
 
+:func:`sharded_sweep` is the one planner on top of it for fleet-shaped
+sweeps (the fleet, work-distribution and vTPM tools): it splits every
+fleet larger than ``shard_size`` machines into :func:`shard_groups`
+cells, runs all cells in one :func:`map_seeded` call, and hands each
+config's group results back to a per-tool merge in ``index_base`` order.
+
 ``workers <= 1`` (the default) runs inline in the calling process with
 no multiprocessing import cost; anything the executor is asked to run
 must be a module-level callable with picklable items.
@@ -16,7 +22,7 @@ must be a module-level callable with picklable items.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -78,3 +84,54 @@ def map_seeded(
 
     with multiprocessing.Pool(processes=min(workers, len(items))) as pool:
         return pool.map(fn, items, chunksize=1)
+
+
+def sharded_sweep(
+    cell: Callable[[dict], R],
+    configs: Iterable[dict],
+    merge: Callable[[dict, List[R]], R],
+    workers: int = 1,
+    shard_size: Optional[int] = None,
+    split: Optional[Callable[[dict, int, int], Optional[dict]]] = None,
+) -> List[R]:
+    """Run ``cell`` once per config, sharding big fleets into machine groups.
+
+    A config whose ``machines`` exceeds ``shard_size`` becomes one cell
+    per :func:`shard_groups` group: ``split(config, base, count)`` builds
+    the group's cell, or returns ``None`` to leave the group idle; the
+    default is the config with ``machines=count`` and ``index_base=base``.
+    Any other config (and every config when ``shard_size`` is ``None``)
+    runs whole as a single cell.  All cells of all configs run in one
+    :func:`map_seeded` call, then ``merge(config, groups)`` folds each
+    config's group results — in ``index_base`` order — into its one
+    result.  The partition depends only on ``shard_size``, so the list
+    is byte-identical at any worker count.
+
+    >>> sharded_sweep(lambda c: (c.get("index_base", 0), c["machines"]),
+    ...               [{"machines": 5}, {"machines": 2}],
+    ...               merge=lambda config, groups: groups, shard_size=2)
+    [[(0, 2), (2, 2), (4, 1)], [(0, 2)]]
+    """
+    configs = [dict(c) for c in configs]
+    cells: List[dict] = []
+    spans: List[int] = []  # cells per config, for the merge
+    for config in configs:
+        if shard_size is None or config["machines"] <= shard_size:
+            cells.append(config)
+            spans.append(1)
+            continue
+        span = 0
+        for base, count in shard_groups(config["machines"], shard_size):
+            group = (split(config, base, count) if split is not None else
+                     {**config, "machines": count, "index_base": base})
+            if group is not None:
+                cells.append(group)
+                span += 1
+        spans.append(span)
+    results = map_seeded(cell, cells, workers=workers)
+    merged: List[R] = []
+    cursor = 0
+    for config, span in zip(configs, spans):
+        merged.append(merge(config, results[cursor:cursor + span]))
+        cursor += span
+    return merged

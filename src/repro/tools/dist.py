@@ -20,6 +20,10 @@ Options::
                           "2:slb-bit-flip:64,5:tpm-transient")
     --timeout-ms MS       per-assignment response deadline (default 60000)
     --seed N              fleet + job seed (default 2008)
+    --shard-size N        split fleets larger than N machines into groups,
+                          each its own service, and print the merged cell
+                          as JSON (refuses --report and --dump-db)
+    --workers N           process-pool size for sharded runs (0 = auto)
     --report              print the human-readable report (default when
                           no other output is selected)
     --json PATH           write the report dict as canonical JSON
@@ -44,7 +48,8 @@ from repro.dist import (
     parse_behaviors,
 )
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
-from repro.tools.fleet_report import DEFAULT_N, _table
+from repro.tools import render_table
+from repro.tools.fleet_report import DEFAULT_N
 
 
 def parse_faults(spec: str, seed: int = 0) -> FaultPlan:
@@ -185,7 +190,7 @@ def run_dist_sweep(configs, workers: int = 1,
 
     ``shard_size`` additionally shards *within* a config: a fleet larger
     than ``shard_size`` machines splits into contiguous machine groups
-    (:func:`repro.sim.parallel.shard_groups`), each with its own service
+    (:func:`repro.sim.parallel.sharded_sweep`), each with its own service
     instance and a proportional share of the work units (an exact
     partition — group shares always sum to the config's ``units``).
     Groups whose share rounds to zero units are skipped; their machines
@@ -193,44 +198,32 @@ def run_dist_sweep(configs, workers: int = 1,
     The partition depends only on ``shard_size``, never the worker
     count, so merged output is byte-identical at any worker count.
     """
-    from repro.sim.parallel import map_seeded, shard_groups
+    from repro.sim.parallel import sharded_sweep
 
-    configs = [dict(c) for c in configs]
-    cells: List[dict] = []
-    spans: List[int] = []
-    idle: List[int] = []
-    for config in configs:
-        machines = config.get("machines", 8)
-        if shard_size is None or machines <= shard_size:
-            cells.append(config)
-            spans.append(1)
-            idle.append(0)
-            continue
-        units = config.get("units", 32)
-        span = 0
-        skipped = 0
-        for base, count in shard_groups(machines, shard_size):
-            # Exact proportional split: cumulative-quota differencing.
-            share = (units * (base + count) // machines
-                     - units * base // machines)
-            if share == 0:
-                skipped += count
-                continue
-            cells.append({**config, "machines": count, "units": share,
-                          "index_base": base})
-            span += 1
-        spans.append(span)
-        idle.append(skipped)
-    results = map_seeded(_sweep_cell, cells, workers=workers)
-    merged: List[dict] = []
-    cursor = 0
-    for span, skipped in zip(spans, idle):
-        cell = merge_group_cells(results[cursor:cursor + span])
-        if skipped:
-            cell["machines_idle"] = skipped
-        merged.append(cell)
-        cursor += span
-    return merged
+    return sharded_sweep(
+        _sweep_cell, [{"machines": 8, "units": 32, **c} for c in configs],
+        merge=_merge_config, workers=workers, shard_size=shard_size,
+        split=_split_units)
+
+
+def _split_units(config: dict, base: int, count: int) -> Optional[dict]:
+    """One machine group's cell with its exact proportional unit share
+    (cumulative-quota differencing), or ``None`` if the share is zero."""
+    units, machines = config["units"], config["machines"]
+    share = units * (base + count) // machines - units * base // machines
+    if share == 0:
+        return None
+    return {**config, "machines": count, "units": share, "index_base": base}
+
+
+def _merge_config(config: dict, groups: List[dict]) -> dict:
+    """Merge one config's group cells; machines in groups that
+    :func:`_split_units` left idle are counted in ``machines_idle``."""
+    cell = merge_group_cells(groups)
+    idle = config["machines"] - sum(g["fleet_size"] for g in groups)
+    if idle:
+        cell["machines_idle"] = idle
+    return cell
 
 
 def format_report(report) -> str:
@@ -274,13 +267,13 @@ def format_report(report) -> str:
     return "\n".join([
         "# Flicker work distribution — quorum over attested results",
         "(all times are deterministic virtual-time results)",
-        _table(
+        render_table(
             "Per-client outcomes",
             ["Client", "Issued", "Ret", "Valid", "Outvoted", "Rej",
              "T/O", "Late", "Spot", "Trusted"],
             client_rows,
         ),
-        _table("Aggregate", ["Quantity", "Value"], aggregate_rows),
+        render_table("Aggregate", ["Quantity", "Value"], aggregate_rows),
     ])
 
 
@@ -316,6 +309,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     if args.shard_size is not None and not args.replay:
         import json
 
+        if args.report or args.dump_db:
+            parser.error("--report and --dump-db require a flat run "
+                         "(drop --shard-size)")
         config = dict(
             machines=args.machines, units=args.units, quorum=args.quorum,
             trusted_quorum=args.trusted_quorum, behaviors=args.behaviors,

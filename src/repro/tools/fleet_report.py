@@ -25,30 +25,14 @@ Options::
 from __future__ import annotations
 
 import argparse
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.apps.distributed import FleetProject, FleetProjectReport
 from repro.core.fleet import FlickerFleet
+from repro.tools import render_table
 
 #: The demonstration composite: 3*5*7*11*13 times a prime.
 DEFAULT_N = 15015 * 1_000_003
-
-
-def _table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> str:
-    rows = [tuple(str(c) for c in row) for row in rows]
-    headers = [str(h) for h in headers]
-    widths = [
-        max(len(headers[i]), *(len(r[i]) for r in rows)) if rows else len(headers[i])
-        for i in range(len(headers))
-    ]
-    sep = "-+-".join("-" * w for w in widths)
-    lines: List[str] = [f"\n## {title}", sep]
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(headers, widths)))
-    lines.append(sep)
-    for row in rows:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    lines.append(sep)
-    return "\n".join(lines)
 
 
 def run_fleet(
@@ -143,39 +127,26 @@ def run_fleet_sweep(configs, workers: int = 1, shard_size: Optional[int] = None)
     its own fleet cell — globally numbered via ``index_base``, so group
     ``g`` simulates exactly the machines ``g*shard_size..`` of the flat
     fleet — and the group reports merge via :func:`merge_group_reports`.
-    The partition depends only on ``shard_size``, so the merged output is
-    byte-identical at any worker count.  This is how the 10,000-machine
-    sweep runs: 10k machines never fit one schedule's working set, but
-    ~40 groups of 256 pipeline through a worker pool.
+    The planning is :func:`repro.sim.parallel.sharded_sweep`'s, so the
+    merged output is byte-identical at any worker count.  This is how the
+    10,000-machine sweep runs: 10k machines never fit one schedule's
+    working set, but ~40 groups of 256 pipeline through a worker pool.
     """
-    from repro.sim.parallel import map_seeded, shard_groups
+    from repro.sim.parallel import sharded_sweep
 
-    configs = [dict(c) for c in configs]
-    cells: List[dict] = []
-    spans: List[int] = []  # cells per config, for the merge
-    for config in configs:
-        machines = config.get("machines", 4)
-        if shard_size is None or machines <= shard_size:
-            cells.append(config)
-            spans.append(1)
-            continue
-        groups = shard_groups(machines, shard_size)
-        clients = config.get("clients")
-        for base, count in groups:
-            cell = {**config, "machines": count, "index_base": base}
-            if clients is not None:
-                # Participation is global ("the first N machines"); each
-                # group gets its overlap with [0, clients).
-                cell["clients"] = max(0, min(clients, base + count) - base)
-            cells.append(cell)
-        spans.append(len(groups))
-    results = map_seeded(_sweep_cell, cells, workers=workers)
-    merged: List[dict] = []
-    cursor = 0
-    for span in spans:
-        merged.append(merge_group_reports(results[cursor:cursor + span]))
-        cursor += span
-    return merged
+    return sharded_sweep(
+        _sweep_cell, [{"machines": 4, **c} for c in configs],
+        merge=lambda _, groups: merge_group_reports(groups),
+        workers=workers, shard_size=shard_size, split=_split_clients)
+
+
+def _split_clients(config: dict, base: int, count: int) -> dict:
+    """One machine group's cell.  Participation is global ("the first N
+    machines"), so each group gets its overlap with ``[0, clients)``."""
+    cell = {**config, "machines": count, "index_base": base}
+    if config.get("clients") is not None:
+        cell["clients"] = max(0, min(config["clients"], base + count) - base)
+    return cell
 
 
 def build_report_dict(report: dict, seed: int,
@@ -213,13 +184,13 @@ def build_report_dict(report: dict, seed: int,
     return "\n".join([
         "# Flicker fleet — distributed factoring (§6.2, concurrent)",
         f"(seed {seed}; all times are deterministic virtual-time results)",
-        _table(
+        render_table(
             "Per-machine activity",
             ["Machine", "Sessions", "Units ok", "Busy (ms)",
              "Utilization", "Msgs", "Bytes"],
             machine_rows,
         ),
-        _table("Aggregate throughput", ["Quantity", "Value"], aggregate_rows),
+        render_table("Aggregate throughput", ["Quantity", "Value"], aggregate_rows),
     ])
 
 

@@ -206,20 +206,16 @@ def run_vtpm_sweep(config: dict, workers: int = 1,
     """The sweep entry point: shard the fleet into contiguous machine
     groups (even-sized pairs stay together, so migrations never cross a
     shard boundary), run each group as its own cell, merge."""
-    from repro.sim.parallel import map_seeded, shard_groups
+    from repro.sim.parallel import sharded_sweep
 
-    machines = config.get("machines", 4)
-    if shard_size is None or machines <= shard_size:
-        return run_vtpm_cell(dict(config))
-    if shard_size % 2:
+    if shard_size is not None and shard_size % 2:
         # Keep migration pairs (machines 2k → 2k+1) intra-group.
         shard_size += 1
-    cells = [
-        {**config, "machines": count, "index_base": base}
-        for base, count in shard_groups(machines, shard_size)
-    ]
-    return merge_vtpm_reports(map_seeded(run_vtpm_cell, cells,
-                                         workers=workers))
+    [report] = sharded_sweep(
+        run_vtpm_cell, [{"machines": 4, **config}],
+        merge=lambda _, groups: merge_vtpm_reports(groups),
+        workers=workers, shard_size=shard_size)
+    return report
 
 
 def render(report: dict) -> str:

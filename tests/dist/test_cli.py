@@ -71,3 +71,17 @@ class TestMain:
                       "--quorum", "2", "--dump-db", str(db_path))
         with pytest.raises(SystemExit):
             main(["--replay", str(db_path), "--dump-db", str(db_path)])
+
+    @pytest.mark.parametrize("flag", [["--report"], ["--dump-db", "db.json"]])
+    def test_sharded_run_rejects_flat_only_outputs(self, capsys, tmp_path,
+                                                   monkeypatch, flag):
+        """A sharded run has no single job database and prints JSON, so
+        ``--dump-db`` and ``--report`` fail closed instead of being
+        silently dropped."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--machines", "4", "--units", "2", "--shard-size", "2",
+                  *flag])
+        assert exc.value.code == 2
+        assert "require a flat run" in capsys.readouterr().err
+        assert not (tmp_path / "db.json").exists()

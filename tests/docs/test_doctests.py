@@ -1,12 +1,14 @@
 """The documentation is executable.
 
 Every ``>>>`` example in ``docs/*.md`` and in the ``repro.obs`` /
-``repro.sim.trace`` / ``repro.sim.sched`` docstrings runs here, so the
-docs cannot drift from the code.  Equivalent to::
+``repro.sim.trace`` / ``repro.sim.sched`` / ``repro.sim.parallel`` /
+``repro.tools`` docstrings runs here, so the docs cannot drift from the
+code.  Equivalent to::
 
     pytest --doctest-glob='*.md' docs/
     pytest --doctest-modules src/repro/obs src/repro/sim/trace.py \
-        src/repro/sim/sched/
+        src/repro/sim/sched/ src/repro/sim/parallel.py \
+        src/repro/tools/__init__.py
 
 The demo scripts under ``examples/`` registered in ``EXECUTED_EXAMPLES``
 run end-to-end as well (they assert their own claims inline).
@@ -21,10 +23,12 @@ import pytest
 import repro.obs.export
 import repro.obs.metrics
 import repro.obs.spans
+import repro.sim.parallel
 import repro.sim.sched.clock
 import repro.sim.sched.events
 import repro.sim.sched.process
 import repro.sim.trace
+import repro.tools
 
 pytestmark = pytest.mark.obs
 
@@ -41,6 +45,8 @@ DOCTESTED_MODULES = [
     repro.sim.sched.events,
     repro.sim.sched.clock,
     repro.sim.sched.process,
+    repro.sim.parallel,
+    repro.tools,
 ]
 
 #: Examples cheap enough to execute on every test run.

@@ -2,6 +2,7 @@
 runs each group as its own cell and merges back byte-identically at any
 worker count — the ISSUE-8 scale path for the 10,000-machine sweep."""
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,46 @@ pytestmark = pytest.mark.slow
 
 def canonical(doc):
     return json.dumps(doc, sort_keys=True)
+
+
+def merge_pin(result):
+    return hashlib.sha1(json.dumps(
+        result, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _fleet_pin_case():
+    return run_fleet_sweep(
+        [dict(machines=10, clients=6, seed=2008), dict(machines=3, seed=7)],
+        workers=1, shard_size=4)
+
+
+def _dist_pin_case():
+    from repro.tools.dist import run_dist_sweep
+
+    # Idle groups (5 units over 4 groups; 2 and 1 units over 4 and 3
+    # groups) and a config whose single group survives.
+    return run_dist_sweep(
+        [dict(machines=7, units=5, seed=2008), dict(machines=8, units=2, seed=3),
+         dict(machines=6, units=1, seed=4)],
+        workers=1, shard_size=2)
+
+
+def _vtpm_pin_case():
+    from repro.tools.vtpm import run_vtpm_sweep
+
+    # An odd shard size, rounded up to keep migration pairs together.
+    return run_vtpm_sweep(dict(machines=6, tenants=2, sessions=2, seed=2008),
+                          workers=1, shard_size=3)
+
+
+@pytest.mark.parametrize("run, digest", [
+    (_fleet_pin_case, "9589d8a7abf5bf3bf131f9064d8b88a8444e599b"),
+    (_dist_pin_case, "01096b737505d7befa02213f141496e6aa8b7aae"),
+    (_vtpm_pin_case, "add8deba3bee640817162bd3fd2c027cfd1161b1"),
+], ids=["fleet", "dist", "vtpm"])
+def test_merged_sweep_bytes_are_pinned(run, digest):
+    """The merged results of all three sharded sweeps, byte for byte."""
+    assert merge_pin(run()) == digest
 
 
 FLEET_CONFIG = dict(machines=10, units_per_client=1, slice_ms=2000.0,

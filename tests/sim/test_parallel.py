@@ -2,12 +2,20 @@
 
 import pytest
 
-from repro.sim.parallel import map_seeded, resolve_workers
+from repro.sim.parallel import map_seeded, resolve_workers, sharded_sweep
 
 
 def square(x):
     """Module-level so a worker process can unpickle it."""
     return x * x
+
+
+def group_cell(config):
+    """Module-level sweep cell: which machines the cell covers, plus a
+    seeded digest standing in for the simulation result."""
+    base = config.get("index_base", 0)
+    return {"machines": list(range(base, base + config["machines"])),
+            "digest": seeded_digest(config["seed"] + base)}
 
 
 def seeded_digest(seed):
@@ -78,3 +86,44 @@ class TestShardGroups:
             shard_groups(-1, 4)
         with pytest.raises(ValueError):
             shard_groups(10, 0)
+
+
+def concat(config, groups):
+    return {"seed": config["seed"],
+            "machines": [m for g in groups for m in g["machines"]],
+            "groups": len(groups)}
+
+
+class TestShardedSweep:
+    CONFIGS = [{"machines": 10, "seed": 1}, {"machines": 3, "seed": 2}]
+
+    def test_no_sharding_at_or_below_shard_size(self):
+        merged = sharded_sweep(group_cell, self.CONFIGS, merge=concat,
+                               shard_size=10)
+        assert [m["groups"] for m in merged] == [1, 1]
+        assert merged == sharded_sweep(group_cell, self.CONFIGS, merge=concat)
+
+    def test_groups_merge_in_index_base_order(self):
+        merged = sharded_sweep(group_cell, self.CONFIGS, merge=concat,
+                               shard_size=4)
+        assert [m["groups"] for m in merged] == [3, 1]  # 4+4+2, then 3
+        assert merged[0]["machines"] == list(range(10))
+        assert [m["seed"] for m in merged] == [1, 2]
+
+    def test_split_returning_none_drops_that_group(self):
+        def skip_middle(config, base, count):
+            if base == 4:
+                return None
+            return {**config, "machines": count, "index_base": base}
+
+        [merged] = sharded_sweep(group_cell, self.CONFIGS[:1], merge=concat,
+                                 shard_size=4, split=skip_middle)
+        assert merged["groups"] == 2
+        assert merged["machines"] == [0, 1, 2, 3, 8, 9]
+
+    def test_worker_count_does_not_change_result(self):
+        serial = sharded_sweep(group_cell, self.CONFIGS, merge=concat,
+                               workers=1, shard_size=4)
+        parallel = sharded_sweep(group_cell, self.CONFIGS, merge=concat,
+                                 workers=2, shard_size=4)
+        assert parallel == serial
