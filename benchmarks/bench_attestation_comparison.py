@@ -4,11 +4,18 @@ The paper's qualitative claim, made quantitative: a Flicker verifier
 evaluates a handful of log entries and trusts a few hundred lines of code;
 an IMA verifier must assess everything loaded since boot (and learns the
 platform's whole software inventory in the process).
+
+The run also measures the §7.5 recommendation ([19]): with secure
+execution confined to one core, the OS never pauses, so the kernel-build
+impact of periodic detection drops to exactly zero even at aggressive
+detection rates.
+
+Registered with the unified runner as ``attestation_comparison``; the
+claims are checked at the end of :func:`run_bench`.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
+from repro.apps.rootkit_detector import simulate_kernel_build
+from repro.bench import register
 from repro.core import FlickerPlatform, PAL
 from repro.core.modules import MODULE_REGISTRY, resolve_modules
 from repro.osim.ima import IMAVerifier, IntegrityMeasurementArchitecture
@@ -20,6 +27,9 @@ APP_COUNT = 60
 #: measured userland (the paper's "millions of additional lines").
 IMA_TRUSTED_LOC = 5_000_000
 
+#: Detection periods for the multicore-isolation rows.
+DETECTION_PERIODS_S = (30.0, 5.0, 1.0)
+
 
 class PayrollPAL(PAL):
     name = "payroll"
@@ -29,8 +39,9 @@ class PayrollPAL(PAL):
         ctx.write_output(b"payroll-result")
 
 
-def run_comparison():
-    platform = FlickerPlatform(seed=6006)
+def compare_attestations(seed, app_count):
+    """Attest one PAL session with Flicker and the same machine with IMA."""
+    platform = FlickerPlatform(seed=seed)
     nonce = b"\x51" * 20
 
     # --- the Flicker attestation ----------------------------------------
@@ -38,10 +49,6 @@ def run_comparison():
     session = platform.execute_pal(pal, inputs=b"q3", nonce=nonce)
     attestation = platform.attest(nonce, session)
     report = platform.verifier().verify(attestation, session.image, nonce)
-    assert report.ok
-    flicker_tcb_loc = sum(
-        MODULE_REGISTRY[m].lines_of_code for m in resolve_modules(pal.modules)
-    )
 
     # --- the IMA attestation on the same machine ---------------------------
     ima = IntegrityMeasurementArchitecture(platform.kernel)
@@ -49,71 +56,75 @@ def run_comparison():
     verifier = IMAVerifier()
     for entry in ima.log:
         verifier.known_good[entry.name] = entry.measurement
-    for i in range(APP_COUNT):
+    for i in range(app_count):
         binary = f"desktop-app-{i}-binary".encode()
         verifier.learn(f"app:app{i}", binary)
         ima.measure_app_launch(f"app{i}", binary)
     quote, log = ima.attest(nonce)
     ima_report = verifier.verify(quote, log, nonce, platform.machine.tpm.aik_public)
-    assert ima_report.ok
 
     return {
-        "flicker_entries": len(attestation.event_log),
-        "flicker_tcb_loc": flicker_tcb_loc,
-        "flicker_disclosed": [label for label, _ in attestation.event_log],
-        "ima_entries": ima_report.entries_evaluated,
-        "ima_known_good_db": len(verifier.known_good),
-        "ima_disclosed": len(ima_report.disclosed_inventory),
+        "flicker": {
+            "verified": report.ok,
+            "entries": len(attestation.event_log),
+            "tcb_loc": sum(MODULE_REGISTRY[m].lines_of_code
+                           for m in resolve_modules(pal.modules)),
+            "disclosed": [label for label, _ in attestation.event_log],
+        },
+        "ima": {
+            "verified": ima_report.ok,
+            "entries": ima_report.entries_evaluated,
+            "known_good_db": len(verifier.known_good),
+            "disclosed": len(ima_report.disclosed_inventory),
+            "trusted_loc": IMA_TRUSTED_LOC,
+        },
     }
 
 
-def test_attestation_meaningfulness(benchmark):
-    m = benchmark.pedantic(run_comparison, rounds=1, iterations=1)
-    print_table(
-        "Flicker vs IMA-style trusted boot (60-app desktop)",
-        ["Metric", "Flicker", "IMA trusted boot"],
-        [
-            ("log entries the verifier evaluates", m["flicker_entries"], m["ima_entries"]),
-            ("known-good DB the verifier maintains", 1, m["ima_known_good_db"]),
-            ("code the verifier must trust (LOC)", m["flicker_tcb_loc"],
-             f"~{IMA_TRUSTED_LOC:,}"),
-            ("software inventory disclosed", "PAL session only", m["ima_disclosed"]),
-        ],
-    )
-    record(benchmark, **{k: v for k, v in m.items() if not isinstance(v, list)})
-
-    # The paper's claims, as inequalities:
-    assert m["flicker_entries"] <= 6
-    assert m["ima_entries"] > 10 * m["flicker_entries"]
-    assert m["flicker_tcb_loc"] < 4000  # hundreds-to-few-thousand lines
-    assert m["ima_disclosed"] >= APP_COUNT  # leaks the whole inventory
+def multicore_isolation(seed, periods_s):
+    """Kernel-build time under periodic detection, today vs. with the
+    session confined to one core; returns (baseline_ms, rows)."""
+    current = FlickerPlatform(seed=seed)
+    future = FlickerPlatform(seed=seed, multicore_isolation=True)
+    rows = {}
+    for period_s in periods_s:
+        today_ms, _ = simulate_kernel_build(current, period_s, noise_sigma_ms=0.0)
+        isolated_ms, _ = simulate_kernel_build(future, period_s, noise_sigma_ms=0.0)
+        rows[f"{period_s:g}"] = {"today_ms": round(today_ms, 6),
+                                 "isolated_ms": round(isolated_ms, 6)}
+    return current.machine.profile.host.kernel_build_ms, rows
 
 
-def test_future_hardware_multicore_isolation(benchmark):
-    """§7.5 recommendation ([19]): with secure execution confined to one
-    core, the OS never pauses — kernel-build impact drops to exactly zero
-    even at aggressive detection rates."""
-    from repro.apps.rootkit_detector import simulate_kernel_build
+def run_bench(seed=6006, app_count=APP_COUNT, isolation_seed=6007,
+              periods_s=DETECTION_PERIODS_S):
+    """Registered entry point: both attestations' verifier burden plus the
+    multicore-isolation rows, with the paper's claims checked."""
+    m = compare_attestations(seed, app_count)
+    baseline_ms, rows = multicore_isolation(isolation_seed, periods_s)
+    flicker, ima = m["flicker"], m["ima"]
 
-    def run():
-        current = FlickerPlatform(seed=6007)
-        future = FlickerPlatform(seed=6007, multicore_isolation=True)
-        rows = []
-        for period_s in (30.0, 5.0, 1.0):
-            cur_ms, _ = simulate_kernel_build(current, period_s, noise_sigma_ms=0.0)
-            fut_ms, _ = simulate_kernel_build(future, period_s, noise_sigma_ms=0.0)
-            rows.append((period_s, cur_ms, fut_ms))
-        baseline = current.machine.profile.host.kernel_build_ms
-        return baseline, rows
+    assert flicker["verified"] and ima["verified"]
+    assert flicker["entries"] <= 6
+    assert ima["entries"] > 10 * flicker["entries"]
+    assert flicker["tcb_loc"] < 4000  # hundreds-to-few-thousand lines
+    assert ima["disclosed"] >= app_count  # leaks the whole inventory
+    for row in rows.values():
+        assert row["isolated_ms"] == baseline_ms  # literally zero impact
+        assert row["today_ms"] > baseline_ms  # today's hardware pays something
 
-    baseline, rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Future hardware: OS impact with multicore isolation",
-        ["Detection period (s)", "Today (+ms over baseline)", "Multicore isolation"],
-        [(p, f"+{cur - baseline:.0f} ms", f"+{fut - baseline:.0f} ms")
-         for p, cur, fut in rows],
-    )
-    record(benchmark, rows=rows)
-    for period, cur_ms, fut_ms in rows:
-        assert fut_ms == baseline          # literally zero impact
-        assert cur_ms > baseline           # today's hardware pays something
+    return {
+        "virtual": {
+            **m,
+            "multicore_isolation": {"baseline_ms": baseline_ms,
+                                    "by_period_s": rows},
+        },
+    }
+
+
+register(
+    "attestation_comparison", run_bench,
+    params={"seed": 6006, "app_count": APP_COUNT, "isolation_seed": 6007,
+            "periods_s": DETECTION_PERIODS_S},
+    description="§3.2/§8: Flicker vs IMA-style trusted boot verifier burden, "
+                "plus kernel-build impact with multicore isolation",
+)

@@ -1,23 +1,16 @@
 """Fault-campaign smoke benchmark: 50 seeded plans x 4 applications.
 
 The same sweep is runnable standalone as
-``python -m repro.faults.campaign --smoke``; here pytest-benchmark tracks
-how long the simulator takes to grind through the 200 adversarial runs,
-and the paper-level invariant (zero ``secret-leaked`` outcomes) is
-asserted on every execution.
+``python -m repro.faults.campaign --smoke``; here the unified runner
+tracks how long the simulator takes to grind through the adversarial
+runs, and the paper-level invariant (zero ``secret-leaked`` outcomes) is
+checked at the end of every run.
 """
 
-from benchmarks.conftest import print_table, record
 from repro.bench import register
 from repro.crypto.sha1 import sha1
 from repro.faults import FaultCampaign
-from repro.faults.campaign import APPS, OUTCOMES, report_json
-
-SEEDS = range(50)
-
-
-def run_campaign():
-    return FaultCampaign(seeds=SEEDS, apps=APPS).run()
+from repro.faults.campaign import APPS, report_json
 
 
 def run_bench(seeds=50, workers=1):
@@ -27,6 +20,10 @@ def run_bench(seeds=50, workers=1):
     report = FaultCampaign(seeds=range(seeds), apps=APPS,
                            workers=workers).run()
     summary = report["summary"]
+
+    assert summary["runs"] == seeds * len(APPS)
+    assert summary["secret_leaked"] == 0
+
     return {
         "virtual": {
             "runs": summary["runs"],
@@ -44,25 +41,3 @@ register(
     description="Fault campaign: outcome distribution + canonical-report "
                 "digest over seeded adversarial sweeps",
 )
-
-
-def test_fault_campaign_smoke(benchmark):
-    report = benchmark.pedantic(run_campaign, rounds=1, iterations=1)
-
-    summary = report["summary"]
-    assert summary["runs"] == len(SEEDS) * len(APPS)
-    assert summary["secret_leaked"] == 0
-    # Determinism spot-check: the serialized report is reproducible.
-    assert report_json(report) == report_json(run_campaign())
-
-    by_app = {app: {o: 0 for o in OUTCOMES} for app in APPS}
-    for result in report["results"]:
-        by_app[result["app"]][result["outcome"]] += 1
-    print_table(
-        "Fault campaign outcomes (50 seeds x 4 apps)",
-        ("app", *OUTCOMES),
-        [(app, *(by_app[app][o] for o in OUTCOMES)) for app in APPS],
-    )
-    record(benchmark, runs=summary["runs"],
-           secret_leaked=summary["secret_leaked"],
-           **{k: v for k, v in summary["outcomes"].items()})

@@ -16,7 +16,6 @@ hence the SKINIT model); this bench regenerates the table and checks the
 TCB-composition claims made from it.
 """
 
-from benchmarks.conftest import print_table, record
 from repro.bench import register
 from repro.core import build_slb
 from repro.core.modules import MODULE_REGISTRY, resolve_modules
@@ -54,6 +53,16 @@ def run_bench():
     """Registered entry point: the full module inventory and per-app TCB
     composition as deterministic metrics."""
     inventory, tcb_per_app = gather()
+    total_loc = sum(loc for _, loc, _, _ in inventory)
+
+    # The headline TCB claim: the mandatory core is under 250 lines.
+    assert MODULE_REGISTRY["slb_core"].lines_of_code < 250
+    # Applications pay only for what they link: the detector's TCB is a
+    # small fraction of the SSH/CA TCB.
+    assert tcb_per_app["rootkit-detector"]["loc"] < 0.2 * tcb_per_app["ssh-password"]["loc"]
+    # The full inventory matches Figure 6's totals.
+    assert total_loc == 94 + 5 + 216 + 889 + 2262 + 657 + 292
+
     return {
         "virtual": {
             "inventory": {
@@ -61,7 +70,7 @@ def run_bench():
                 for name, loc, kb, _ in inventory
             },
             "tcb_per_app": tcb_per_app,
-            "total_loc": sum(loc for _, loc, _, _ in inventory),
+            "total_loc": total_loc,
         },
     }
 
@@ -70,31 +79,3 @@ register(
     "fig6_modules", run_bench,
     description="Figure 6: PAL-linkable module inventory and per-app TCB",
 )
-
-
-def test_fig6_module_inventory(benchmark):
-    inventory, tcb_per_app = benchmark.pedantic(gather, rounds=1, iterations=1)
-    print_table(
-        "Figure 6: PAL-linkable modules",
-        ["Module", "LOC", "Size (KB)", "Properties"],
-        [(name, loc, f"{kb:.3f}", desc) for name, loc, kb, desc in inventory],
-    )
-    print_table(
-        "Per-application TCB composition",
-        ["Application", "Modules", "TCB LOC", "SLB bytes (unoptimized)"],
-        [
-            (app, ", ".join(m for m in info["modules"] if m != "slb_core") or "(core only)",
-             info["loc"], info["slb_bytes"])
-            for app, info in tcb_per_app.items()
-        ],
-    )
-    record(benchmark, tcb_per_app={k: v["loc"] for k, v in tcb_per_app.items()})
-
-    # The headline TCB claim: the mandatory core is under 250 lines.
-    assert MODULE_REGISTRY["slb_core"].lines_of_code < 250
-    # Applications pay only for what they link: the detector's TCB is a
-    # small fraction of the SSH/CA TCB.
-    assert tcb_per_app["rootkit-detector"]["loc"] < 0.2 * tcb_per_app["ssh-password"]["loc"]
-    # The full inventory matches Figure 6's totals.
-    total_loc = sum(loc for _, loc, _, _ in inventory)
-    assert total_loc == 94 + 5 + 216 + 889 + 2262 + 657 + 292

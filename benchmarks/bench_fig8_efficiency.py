@@ -6,30 +6,32 @@ constant 1/k; Flicker's curve rises as the fixed per-session overhead
 (SKINIT + Unseal ≈ 0.91 s) amortizes.  The headline claim: "a two second
 user latency allows a more efficient distributed application than
 replicating to three or more machines."
+
+Registered with the unified runner as ``fig8_efficiency``; the claims are
+checked at the end of :func:`run_bench`.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
 from repro.apps.distributed import (
     BOINCClient,
     FactoringWorkUnit,
     ReplicationScheme,
     flicker_efficiency,
 )
+from repro.bench import register
 from repro.core import FlickerPlatform
 
 LATENCIES_S = tuple(range(1, 11))
+REPLICATION = (3, 5, 7)
 
 
-def measure_flicker_curve():
+def measure_flicker_curve(seed, latencies_s):
     """Measure actual sessions at each user latency and compute the
     efficiency as useful work / total session time."""
-    platform = FlickerPlatform(seed=888)
+    platform = FlickerPlatform(seed=seed)
     client = BOINCClient(platform)
     curve = {}
     overhead_sample = None
-    for latency_s in LATENCIES_S:
+    for latency_s in latencies_s:
         unit = FactoringWorkUnit(unit_id=latency_s, n=15015, start=2, end=4)
         progress = client.start_unit(unit)
         clock = platform.machine.clock
@@ -50,61 +52,47 @@ def measure_flicker_curve():
     return curve, overhead_sample
 
 
-def test_fig8_flicker_vs_replication(benchmark):
-    curve, overhead_ms = benchmark.pedantic(measure_flicker_curve, rounds=1, iterations=1)
-    model = {s: flicker_efficiency(s * 1000.0, overhead_ms) for s in LATENCIES_S}
-    rows = [
-        (
-            s,
-            f"{curve[s]:.2f}",
-            f"{model[s]:.2f}",
-            f"{ReplicationScheme(3).efficiency:.2f}",
-            f"{ReplicationScheme(5).efficiency:.2f}",
-            f"{ReplicationScheme(7).efficiency:.2f}",
-        )
-        for s in LATENCIES_S
-    ]
-    print_table(
-        "Figure 8: efficiency vs user latency (s)",
-        ["Latency", "Flicker (measured)", "Flicker (model)", "3-way", "5-way", "7-way"],
-        rows,
-    )
-    record(benchmark, curve=curve, overhead_ms=overhead_ms)
+def run_bench(seed=888, latencies_s=LATENCIES_S):
+    """Registered entry point: the measured curve, the closed-form model,
+    the replication lines and the crossover latencies."""
+    curve, overhead_ms = measure_flicker_curve(seed, latencies_s)
+    model = {s: flicker_efficiency(s * 1000.0, overhead_ms) for s in latencies_s}
+    replication = {k: ReplicationScheme(k).efficiency for k in REPLICATION}
+    # Solve (L - o)/L = 1/k  →  L = o * k / (k - 1).
+    crossover_s = {k: overhead_ms * k / (k - 1) / 1000.0 for k in REPLICATION}
 
-    # Shape assertions:
     # 1. Flicker's curve rises monotonically and concavely toward 1.
-    values = [curve[s] for s in LATENCIES_S]
+    values = [curve[s] for s in latencies_s]
     assert values == sorted(values)
     assert values[-1] > 0.89
     # 2. Replication lines are constant; Flicker crosses 3-way below 2 s.
-    assert curve[2] > ReplicationScheme(3).efficiency
-    assert curve[1] < ReplicationScheme(3).efficiency
-    # 3. By 2 s, Flicker beats even 7-way... (1/7 ≈ 0.14 < 0.54)
-    assert curve[2] > ReplicationScheme(7).efficiency
+    assert curve[2] > replication[3]
+    assert curve[1] < replication[3]
+    # 3. By 2 s, Flicker beats even 7-way.
+    assert curve[2] > replication[7]
     # 4. The measured curve matches the closed-form model.
-    for s in LATENCIES_S:
-        assert curve[s] == pytest.approx(model[s], abs=0.02)
+    for s in latencies_s:
+        assert abs(curve[s] - model[s]) <= 0.02
+    # 5. The crossovers, made quantitative: the paper's two-second claim.
+    assert crossover_s[3] < 2.0
+    assert crossover_s[7] < crossover_s[5] < crossover_s[3]
+
+    return {
+        "virtual": {
+            "overhead_ms": round(overhead_ms, 6),
+            "efficiency": {
+                str(s): {"flicker": round(curve[s], 6),
+                         "model": round(model[s], 6)}
+                for s in latencies_s
+            },
+            "replication": {str(k): round(e, 6) for k, e in replication.items()},
+            "crossover_s": {str(k): round(c, 6) for k, c in crossover_s.items()},
+        },
+    }
 
 
-def test_fig8_crossover_points(benchmark):
-    """Locate the exact crossover latencies against each replication level
-    (the paper's qualitative claim, made quantitative)."""
-
-    def crossovers():
-        overhead_ms = 912.6
-        points = {}
-        for k in (3, 5, 7):
-            target = 1.0 / k
-            # Solve (L - o)/L = 1/k  →  L = o * k / (k - 1).
-            points[k] = overhead_ms * k / (k - 1) / 1000.0
-        return points
-
-    points = benchmark.pedantic(crossovers, rounds=1, iterations=1)
-    print_table(
-        "Figure 8: crossover latencies",
-        ["Replication", "Flicker wins beyond (s)"],
-        [(f"{k}-way", f"{latency:.2f}") for k, latency in points.items()],
-    )
-    record(benchmark, crossovers=points)
-    assert points[3] < 2.0  # the paper's two-second claim
-    assert points[7] < points[5] < points[3]
+register(
+    "fig8_efficiency", run_bench, params={"seed": 888, "latencies_s": LATENCIES_S},
+    description="Figure 8: Flicker vs 3/5/7-way replication efficiency "
+                "and the crossover latencies",
+)

@@ -6,19 +6,20 @@ orders of magnitude", and §7 repeats that "it is reasonable to expect
 significantly improved performance in future versions of this
 technology".  This bench swaps in the projected timing profile and
 re-runs the paper's most overhead-sensitive experiments.
+
+Registered with the unified runner as ``future_hw``; the claims are
+checked at the end of :func:`run_bench`.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
 from repro.apps.distributed import BOINCClient, FactoringWorkUnit, flicker_efficiency
 from repro.apps.ssh_auth import PasswdEntry, SSHClient, SSHServer
+from repro.bench import register
 from repro.core import FlickerPlatform
 from repro.sim.timing import DEFAULT_PROFILE, FUTURE_HW_PROFILE
 
 
-def measure_overheads(profile):
-    platform = FlickerPlatform(profile=profile, seed=2468)
+def measure_overheads(profile, seed):
+    platform = FlickerPlatform(profile=profile, seed=seed)
     client = BOINCClient(platform)
     unit = FactoringWorkUnit(unit_id=1, n=15015, start=2, end=4)
     progress = client.start_unit(unit)
@@ -32,39 +33,19 @@ def measure_overheads(profile):
     outcome = SSHClient(platform).connect_and_login(server, "alice", b"pw-secret")
 
     return {
-        "session_overhead_ms": session_overhead,
-        "ssh_prompt_ms": outcome.time_to_prompt_ms,
-        "ssh_entry_ms": outcome.time_after_entry_ms,
+        "session_overhead_ms": round(session_overhead, 6),
+        "efficiency_at_1s": round(flicker_efficiency(1000, session_overhead), 6),
+        "ssh_prompt_ms": round(outcome.time_to_prompt_ms, 6),
+        "ssh_entry_ms": round(outcome.time_after_entry_ms, 6),
+        "unseal_ms": profile.tpm.unseal_ms(20),
         "authenticated": outcome.authenticated,
     }
 
 
-def test_future_hardware_projection(benchmark):
-    results = benchmark.pedantic(
-        lambda: {
-            "today": measure_overheads(DEFAULT_PROFILE),
-            "future": measure_overheads(FUTURE_HW_PROFILE),
-        },
-        rounds=1, iterations=1,
-    )
-    today, future = results["today"], results["future"]
-    print_table(
-        "Future hardware ([19] projection) vs the 2008 testbed",
-        ["Quantity", "2008 testbed", "Projection", "Unmodified sshd (paper)"],
-        [
-            ("per-session Flicker overhead (ms)",
-             f"{today['session_overhead_ms']:.1f}",
-             f"{future['session_overhead_ms']:.3f}", "—"),
-            ("SSH connect → prompt (ms)",
-             f"{today['ssh_prompt_ms']:.0f}", f"{future['ssh_prompt_ms']:.0f}", "210"),
-            ("SSH entry → session (ms)",
-             f"{today['ssh_entry_ms']:.0f}", f"{future['ssh_entry_ms']:.1f}", "10"),
-            ("Fig. 8 efficiency @ 1 s",
-             f"{flicker_efficiency(1000, today['session_overhead_ms']):.2f}",
-             f"{flicker_efficiency(1000, future['session_overhead_ms']):.4f}", "—"),
-        ],
-    )
-    record(benchmark, today=today, future=future)
+def run_bench(seed=2468):
+    """Registered entry point: the 2008 testbed vs the [19] projection."""
+    today = measure_overheads(DEFAULT_PROFILE, seed)
+    future = measure_overheads(FUTURE_HW_PROFILE, seed)
 
     assert today["authenticated"] and future["authenticated"]
     # The TPM-bound overhead collapses to low single-digit milliseconds;
@@ -74,9 +55,18 @@ def test_future_hardware_projection(benchmark):
     # orders (898 ms → 5 µs unseal).
     assert future["session_overhead_ms"] < today["session_overhead_ms"] / 500
     assert future["session_overhead_ms"] < 2.5
-    assert FUTURE_HW_PROFILE.tpm.unseal_ms(20) < DEFAULT_PROFILE.tpm.unseal_ms(20) / 100_000
+    assert future["unseal_ms"] < today["unseal_ms"] / 100_000
     # At 1-second sessions, Flicker efficiency becomes essentially perfect.
-    assert flicker_efficiency(1000, future["session_overhead_ms"]) > 0.99
+    assert future["efficiency_at_1s"] > 0.99
     # And the SSH password path approaches the unmodified server's cost:
     # the post-entry latency falls from ~940 ms to single-digit ms.
     assert future["ssh_entry_ms"] < 25.0
+
+    return {"virtual": {"today": today, "future": future}}
+
+
+register(
+    "future_hw", run_bench, params={"seed": 2468},
+    description="Extension: per-session overhead, Fig. 8 efficiency and SSH "
+                "latency under the [19] hardware projection",
+)

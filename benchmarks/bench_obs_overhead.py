@@ -21,9 +21,6 @@ every PAL module:
 import time
 import timeit
 
-import pytest
-
-from benchmarks.conftest import print_table, record, record_metrics
 from repro.bench import register
 from repro.core import FlickerPlatform
 from repro.faults.campaign import DRIVERS
@@ -60,15 +57,28 @@ def run_bench(seed=SEED):
     """Registered entry point: the zero-overhead claim, split into the
     deterministic half (virtual timelines identical with and without the
     hub; artifact counts) and the host-dependent half (guard pricing)."""
-    disabled_virtual, _ = run_suite(False, seed=seed)
     start = time.perf_counter()
     enabled_virtual, enabled_platforms = run_suite(True, seed=seed)
     enabled_wall_s = time.perf_counter() - start
+    # Timed second, so the disabled run does not also pay the suite's
+    # one-time cache warm-up, which would flatter the overhead ratio.
+    start = time.perf_counter()
+    disabled_virtual, _ = run_suite(False, seed=seed)
+    disabled_wall_s = time.perf_counter() - start
     artifacts = 0
     for platform in enabled_platforms.values():
         hub = platform.obs
         artifacts += len(hub.spans) + len(hub.events) + len(hub.registry.snapshot())
     per_guard_s = guard_cost_s()
+    overhead = (artifacts * GUARD_MARGIN * per_guard_s) / disabled_wall_s
+
+    # (a) Virtual time: bit-identical timelines with and without the hub.
+    assert enabled_virtual == disabled_virtual
+    # (b) Wall time: the guards the disabled path executes cost < 2% of
+    # its wall time; one guard costs well under a microsecond.
+    assert overhead < OVERHEAD_BUDGET
+    assert per_guard_s < 1e-6
+
     return {
         "virtual": {
             "virtual_ms": {app: round(disabled_virtual[app], 6) for app in APPS},
@@ -79,6 +89,7 @@ def run_bench(seed=SEED):
         "wall": {
             "per_guard_ns": round(per_guard_s * 1e9, 1),
             "enabled_suite_seconds": round(enabled_wall_s, 3),
+            "disabled_overhead_pct": round(overhead * 100, 4),
         },
     }
 
@@ -88,69 +99,3 @@ register(
     description="Observability layer: disabled-path overhead and "
                 "virtual-time neutrality on the Figure 6 suite",
 )
-
-
-def test_disabled_instrumentation_overhead_under_2pct(benchmark):
-    disabled_virtual, _ = benchmark.pedantic(
-        run_suite, args=(False,), rounds=1, iterations=1)
-    enabled_virtual, enabled_platforms = run_suite(True)
-
-    # (a) Virtual time: bit-identical timelines with and without the hub.
-    assert enabled_virtual == disabled_virtual
-
-    # (b) Wall time: price the guards the disabled path actually executes.
-    start = time.perf_counter()
-    run_suite(False)
-    disabled_wall_s = time.perf_counter() - start
-
-    artifacts = 0
-    for platform in enabled_platforms.values():
-        hub = platform.obs
-        artifacts += len(hub.spans) + len(hub.events) + len(hub.registry.snapshot())
-    guard_evals = artifacts * GUARD_MARGIN
-    per_guard_s = guard_cost_s()
-    overhead = (guard_evals * per_guard_s) / disabled_wall_s
-
-    print_table(
-        "Observability: disabled-path overhead (Figure 6 suite)",
-        ["Quantity", "Value"],
-        [
-            ("recorded artifacts (enabled)", artifacts),
-            ("guard evaluations charged", guard_evals),
-            ("per-guard cost", f"{per_guard_s * 1e9:.1f} ns"),
-            ("disabled suite wall time", f"{disabled_wall_s * 1e3:.1f} ms"),
-            ("disabled overhead bound", f"{overhead * 100:.4f} %"),
-            ("budget", f"{OVERHEAD_BUDGET * 100:.1f} %"),
-        ],
-    )
-    record(benchmark, guard_evals=guard_evals,
-           overhead_pct=overhead * 100, budget_pct=OVERHEAD_BUDGET * 100)
-    record_metrics(benchmark, enabled_platforms["ca"].obs.registry)
-
-    assert overhead < OVERHEAD_BUDGET
-
-
-def test_enabled_instrumentation_preserves_results(benchmark):
-    """Enabling the hub changes no application-visible result: the CA
-    suite's session timings match a plain platform's to the last float."""
-    def compare():
-        plain = FlickerPlatform(seed=SEED)
-        instrumented = FlickerPlatform(seed=SEED, observability=True)
-        for platform in (plain, instrumented):
-            assert DRIVERS["ca"](platform) == "ok"
-        return plain.last_session, instrumented.last_session
-
-    plain, instrumented = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert plain.phase_ms == instrumented.phase_ms
-    assert plain.total_ms == instrumented.total_ms
-    assert plain.outputs == instrumented.outputs
-
-
-def test_guard_is_cheap_in_absolute_terms():
-    """Sanity floor under the 2% claim: one guard costs well under a
-    microsecond, so even 10^5 guards cost < 100 ms of wall time."""
-    assert guard_cost_s() < 1e-6
-
-
-if __name__ == "__main__":  # pragma: no cover
-    pytest.main([__file__, "-q", "-s"])

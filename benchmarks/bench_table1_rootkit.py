@@ -9,9 +9,6 @@ Paper values (Broadcom TPM, HP dc5750)::
     Total Query Latency 1022.7 ms
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
 from repro.apps.rootkit_detector import RemoteAdministrator
 from repro.bench import register
 from repro.core import FlickerPlatform
@@ -48,6 +45,18 @@ def run_bench(seed=1022):
     deterministic virtual-time metrics."""
     platform = FlickerPlatform(seed=seed)
     report, measured = run_query(platform)
+
+    # Shape: the TPM Quote dominates; the end-to-end latency is ~1 s; the
+    # hash cost matches the kernel's modelled size.  (The detector used an
+    # *unoptimized* SLB in Table 1 — the optimization comes afterwards in
+    # §7.2 — and ours is sized so SKINIT lands in the same regime.)
+    assert report.kernel_clean
+    assert measured["quote_ms"] > 0.9 * sum(
+        v for k, v in measured.items() if k not in ("total_ms", "quote_ms")
+    )
+    assert abs(measured["total_ms"] - PAPER["total_ms"]) <= 0.03 * PAPER["total_ms"]
+    assert abs(measured["kernel_hash_ms"] - PAPER["kernel_hash_ms"]) <= 0.5
+
     return {
         "virtual": {
             "paper_ms": PAPER,
@@ -62,44 +71,3 @@ register(
     "table1_rootkit", run_bench, params={"seed": 1022},
     description="Table 1: rootkit-detector query latency breakdown",
 )
-
-
-def test_table1_rootkit_detector_breakdown(benchmark, platform):
-    report, measured = benchmark.pedantic(
-        lambda: run_query(platform), rounds=1, iterations=1
-    )
-
-    # The detector used an *unoptimized* SLB in Table 1 (the optimization
-    # is introduced afterwards in §7.2); our detector SLB is sized so
-    # SKINIT lands in the same regime either way.
-    rows = [
-        (name, f"{PAPER[key]:.1f}", f"{value:.1f}")
-        for (name, key, value) in (
-            ("SKINIT", "skinit_ms", measured["skinit_ms"]),
-            ("PCR Extend", "extend_ms", measured["extend_ms"]),
-            ("Hash of Kernel", "kernel_hash_ms", measured["kernel_hash_ms"]),
-            ("TPM Quote", "quote_ms", measured["quote_ms"]),
-            ("Total Query Latency", "total_ms", measured["total_ms"]),
-        )
-    ]
-    print_table("Table 1: Rootkit Detector Overhead",
-                ["Operation", "Paper (ms)", "Measured (ms)"], rows)
-    record(benchmark, paper=PAPER, measured=measured)
-
-    # Shape assertions: the TPM Quote dominates; the end-to-end latency is
-    # ~1 s; the hash cost matches the kernel's modelled size.
-    assert report.kernel_clean
-    assert measured["quote_ms"] > 0.9 * sum(
-        v for k, v in measured.items() if k not in ("total_ms", "quote_ms")
-    )
-    assert measured["total_ms"] == pytest.approx(PAPER["total_ms"], rel=0.03)
-    assert measured["kernel_hash_ms"] == pytest.approx(PAPER["kernel_hash_ms"], abs=0.5)
-
-
-def test_table1_microbench_query_rate(benchmark):
-    """Simulator-side benchmark: full detection queries per second of host
-    wall time (tracks reproduction performance, not a paper number)."""
-    platform = FlickerPlatform(seed=7)
-    admin = RemoteAdministrator(platform)
-    result = benchmark(lambda: admin.run_detection_query().kernel_clean)
-    assert result

@@ -12,12 +12,13 @@ Paper values (build of Linux 2.6.20; mm:ss)::
 
 The paper's conclusion: even a 30-second detection period has negligible
 impact (the apparent speed-ups are experimental noise).
+
+Registered with the unified runner as ``table3_impact``; the claims are
+checked at the end of :func:`run_bench`.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
 from repro.apps.rootkit_detector import simulate_kernel_build
+from repro.bench import register
 from repro.core import FlickerPlatform
 
 PAPER_ROWS = [
@@ -30,45 +31,29 @@ PAPER_ROWS = [
 ]
 
 
-def fmt_mmss(ms: float) -> str:
-    total_s = ms / 1000.0
-    return f"{int(total_s // 60)}:{total_s % 60:04.1f}"
-
-
-def run_sweep():
-    platform = FlickerPlatform(seed=333)
-    results = []
+def run_bench(seed=333):
+    """Registered entry point: build time per detection period (s)."""
+    platform = FlickerPlatform(seed=seed)
+    rows = {}
     for period_s, paper_time, paper_std in PAPER_ROWS:
         mean_ms, std_ms = simulate_kernel_build(platform, period_s)
-        results.append((period_s, paper_time, paper_std, mean_ms, std_ms))
-    return results
-
-
-def test_table3_build_impact(benchmark):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    print_table(
-        "Table 3: Impact of the Rootkit Detector on a kernel build",
-        ["Period", "Paper [m:s]", "Paper std (s)", "Measured [m:s]", "Std (s)"],
-        [
-            (
-                "none" if period is None else fmt_mmss(period * 1000.0),
-                paper_time,
-                f"{paper_std:.1f}",
-                fmt_mmss(mean_ms),
-                f"{std_ms / 1000.0:.1f}",
-            )
-            for period, paper_time, paper_std, mean_ms, std_ms in results
-        ],
-    )
-    baseline = results[0][3]
-    worst = max(mean for _, _, _, mean, _ in results)
-    record(benchmark, baseline_ms=baseline, worst_ms=worst,
-           overhead_percent=100.0 * (worst - baseline) / baseline)
+        rows["none" if period_s is None else f"{period_s:g}"] = {
+            "paper_time": paper_time, "paper_std_s": paper_std,
+            "mean_ms": round(mean_ms, 6), "std_ms": round(std_ms, 6),
+        }
 
     # Shape: the paper's finding — detection impact is lost in the noise.
     # Even at a 30 s period the slowdown stays under 0.5 %.
-    for period, _, _, mean_ms, _ in results[1:]:
-        assert (mean_ms - baseline) / baseline < 0.005, period
-    # And the measurement noise is of the same order as the paper's.
-    for _, _, _, _, std_ms in results:
-        assert std_ms < 4000.0
+    baseline = rows["none"]["mean_ms"]
+    for period, row in rows.items():
+        assert (row["mean_ms"] - baseline) / baseline < 0.005, period
+        # And the measurement noise is of the same order as the paper's.
+        assert row["std_ms"] < 4000.0, period
+
+    return {"virtual": {"by_period_s": rows}}
+
+
+register(
+    "table3_impact", run_bench, params={"seed": 333},
+    description="Table 3: kernel-build time under periodic rootkit detection",
+)

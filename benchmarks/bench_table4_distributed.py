@@ -6,13 +6,18 @@ Paper values (per work session, Broadcom TPM)::
     SKINIT (ms):            14.3   14.3   14.3   14.3
     Unseal (ms):            898.3  898.3  898.3  898.3
     Flicker overhead:       47%    30%    18%    10%
+
+The ablation swaps in the faster Infineon TPM (Unseal 391 ms), which
+roughly halves the 1-second-work overhead fraction.
+
+Registered with the unified runner as ``table4_distributed``; the claims
+are checked at the end of :func:`run_bench`.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
 from repro.apps.distributed import BOINCClient, FactoringWorkUnit
+from repro.bench import register
 from repro.core import FlickerPlatform
+from repro.sim.timing import DEFAULT_PROFILE, INFINEON_PROFILE
 
 WORK_POINTS_MS = (1000, 2000, 4000, 8000)
 PAPER = {
@@ -22,11 +27,11 @@ PAPER = {
 }
 
 
-def run_sweep():
-    platform = FlickerPlatform(seed=444)
+def run_sweep(profile, seed, work_points_ms):
+    platform = FlickerPlatform(profile=profile, seed=seed)
     client = BOINCClient(platform)
-    rows = []
-    for work_ms in WORK_POINTS_MS:
+    rows = {}
+    for work_ms in work_points_ms:
         # A tiny functional range so virtual work time is the knob.
         unit = FactoringWorkUnit(unit_id=work_ms, n=15015, start=2, end=4)
         progress = client.start_unit(unit)
@@ -34,67 +39,45 @@ def run_sweep():
         before = clock.now()
         progress, session = client.work_slice(progress, slice_ms=float(work_ms))
         total_ms = clock.now() - before
-        rows.append({
-            "work_ms": work_ms,
-            "skinit_ms": session.phase_ms["skinit"],
-            "unseal_ms": session.tpm_ms["unseal"],
-            "total_ms": total_ms,
-            "overhead_percent": 100.0 * (total_ms - work_ms) / total_ms,
-        })
+        rows[work_ms] = {
+            "skinit_ms": round(session.phase_ms["skinit"], 6),
+            "unseal_ms": round(session.tpm_ms["unseal"], 6),
+            "total_ms": round(total_ms, 6),
+            "overhead_percent": round(100.0 * (total_ms - work_ms) / total_ms, 6),
+        }
     return rows
 
 
-def test_table4_distributed_overheads(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    print_table(
-        "Table 4: Operations for Distributed Computing",
-        ["Work (ms)", "SKINIT paper/meas", "Unseal paper/meas", "Overhead paper/meas"],
-        [
-            (
-                r["work_ms"],
-                f"{PAPER['skinit_ms']:.1f} / {r['skinit_ms']:.1f}",
-                f"{PAPER['unseal_ms']:.1f} / {r['unseal_ms']:.1f}",
-                f"{PAPER['overhead_percent'][r['work_ms']]}% / {r['overhead_percent']:.0f}%",
-            )
-            for r in rows
-        ],
-    )
-    record(benchmark, rows=rows)
+def run_bench(seed=444, infineon_seed=445, work_points_ms=WORK_POINTS_MS):
+    """Registered entry point: per-session costs at each work size, plus
+    the Infineon overhead at 1 s of work."""
+    rows = run_sweep(DEFAULT_PROFILE, seed, work_points_ms)
+    infineon = run_sweep(INFINEON_PROFILE, infineon_seed, (1000,))[1000]
 
-    for r in rows:
-        assert r["skinit_ms"] == pytest.approx(PAPER["skinit_ms"], abs=1.0)
-        assert r["unseal_ms"] == pytest.approx(PAPER["unseal_ms"], rel=0.01)
-        assert r["overhead_percent"] == pytest.approx(
-            PAPER["overhead_percent"][r["work_ms"]], abs=2.0
-        )
-    # Shape: overhead fraction decays as work grows; Unseal dominates it.
-    fractions = [r["overhead_percent"] for r in rows]
+    for work_ms, r in rows.items():
+        assert abs(r["skinit_ms"] - PAPER["skinit_ms"]) <= 1.0
+        assert abs(r["unseal_ms"] - PAPER["unseal_ms"]) <= 0.01 * PAPER["unseal_ms"]
+        assert abs(r["overhead_percent"] - PAPER["overhead_percent"][work_ms]) <= 2.0
+        # Unseal dominates the overhead.
+        assert r["unseal_ms"] > 0.9 * (r["total_ms"] - work_ms - r["skinit_ms"] - 10)
+    # Shape: overhead fraction decays as work grows.
+    fractions = [r["overhead_percent"] for r in rows.values()]
     assert fractions == sorted(fractions, reverse=True)
-    for r in rows:
-        assert r["unseal_ms"] > 0.9 * (r["total_ms"] - r["work_ms"] - r["skinit_ms"] - 10)
+    # Ablation: the faster TPM roughly halves the overhead fraction.
+    assert infineon["overhead_percent"] < 32.0
+
+    return {
+        "virtual": {
+            "paper": PAPER,
+            "by_work_ms": rows,
+            "infineon_overhead_percent": infineon["overhead_percent"],
+        },
+    }
 
 
-def test_table4_infineon_ablation(benchmark):
-    """Ablation: the faster Infineon TPM (Unseal 391 ms) roughly halves
-    the 1-second-work overhead fraction."""
-    from repro.sim.timing import INFINEON_PROFILE
-
-    def run():
-        platform = FlickerPlatform(profile=INFINEON_PROFILE, seed=445)
-        client = BOINCClient(platform)
-        unit = FactoringWorkUnit(unit_id=1, n=15015, start=2, end=4)
-        progress = client.start_unit(unit)
-        clock = platform.machine.clock
-        before = clock.now()
-        client.work_slice(progress, slice_ms=1000.0)
-        total = clock.now() - before
-        return 100.0 * (total - 1000.0) / total
-
-    overhead_percent = benchmark.pedantic(run, rounds=1, iterations=1)
-    print_table(
-        "Table 4 ablation: Infineon TPM",
-        ["TPM", "Overhead at 1 s work"],
-        [("Broadcom (paper)", "47%"), ("Infineon (measured)", f"{overhead_percent:.0f}%")],
-    )
-    record(benchmark, infineon_overhead_percent=overhead_percent)
-    assert overhead_percent < 32.0
+register(
+    "table4_distributed", run_bench,
+    params={"seed": 444, "infineon_seed": 445, "work_points_ms": WORK_POINTS_MS},
+    description="Table 4: per-session SKINIT/Unseal costs and overhead "
+                "fraction for distributed computing (Infineon ablation)",
+)

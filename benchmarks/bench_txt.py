@@ -6,11 +6,12 @@ quantitatively: same session semantics and attestation guarantees, with
 the launch-cost difference coming from what each instruction streams to
 the TPM (SVM: the SLB or its 4736-byte stub; TXT: the SINIT ACM plus the
 full MLE).
+
+Registered with the unified runner as ``txt``; the claims are checked at
+the end of :func:`run_bench`.
 """
 
-import pytest
-
-from benchmarks.conftest import print_table, record
+from repro.bench import register
 from repro.core import FlickerPlatform, PAL
 
 
@@ -23,56 +24,49 @@ class CrossVendorPAL(PAL):
         ctx.write_output(b"portable")
 
 
-def run_both():
+def run_bench(seed=9090):
+    """Registered entry point: one attested session per launch vendor."""
     nonce = b"\x77" * 20
-    out = {}
 
-    svm = FlickerPlatform(seed=9090)
-    session = svm.execute_pal(CrossVendorPAL(), nonce=nonce)
-    attestation = svm.attest(nonce, session)
-    assert svm.verifier().verify(attestation, session.image, nonce).ok
-    out["svm"] = {
-        "launch_ms": session.phase_ms["skinit"],
-        "total_ms": session.total_ms,
-        "outputs": session.outputs,
+    svm = FlickerPlatform(seed=seed)
+    svm_session = svm.execute_pal(CrossVendorPAL(), nonce=nonce)
+    svm_verified = svm.verifier().verify(
+        svm.attest(nonce, svm_session), svm_session.image, nonce).ok
+
+    txt = FlickerPlatform(seed=seed, launch="txt")
+    txt_session = txt.execute_pal(CrossVendorPAL(), nonce=nonce)
+    txt_verified = txt.verifier().verify_txt(
+        txt.attest(nonce, txt_session), txt_session.image,
+        txt.acm.measurement, nonce).ok
+
+    m = {
+        "svm": {
+            "launch_ms": round(svm_session.phase_ms["skinit"], 6),
+            "total_ms": round(svm_session.total_ms, 6),
+            "verified": svm_verified,
+        },
+        "txt": {
+            "launch_ms": round(txt_session.phase_ms["senter"], 6),
+            "total_ms": round(txt_session.total_ms, 6),
+            "measured_bytes": txt_session.image.measured_length + len(txt.acm.code),
+            "verified": txt_verified,
+        },
+        "outputs": txt_session.outputs.hex(),
+        "outputs_identical": svm_session.outputs == txt_session.outputs,
     }
 
-    txt = FlickerPlatform(seed=9090, launch="txt")
-    session = txt.execute_pal(CrossVendorPAL(), nonce=nonce)
-    attestation = txt.attest(nonce, session)
-    assert txt.verifier().verify_txt(
-        attestation, session.image, txt.acm.measurement, nonce
-    ).ok
-    out["txt"] = {
-        "launch_ms": session.phase_ms["senter"],
-        "total_ms": session.total_ms,
-        "outputs": session.outputs,
-        "measured_bytes": session.image.measured_length + len(txt.acm.code),
-    }
-    return out
-
-
-def test_txt_vs_svm_launch(benchmark):
-    m = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    print_table(
-        "Extension: Flicker over Intel TXT vs AMD SVM",
-        ["Quantity", "SVM (SKINIT)", "TXT (SENTER)"],
-        [
-            ("launch instruction (ms)", f"{m['svm']['launch_ms']:.1f}",
-             f"{m['txt']['launch_ms']:.1f}"),
-            ("session total (ms)", f"{m['svm']['total_ms']:.1f}",
-             f"{m['txt']['total_ms']:.1f}"),
-            ("PAL outputs identical", "—",
-             "yes" if m["svm"]["outputs"] == m["txt"]["outputs"] else "NO"),
-        ],
-    )
-    record(benchmark,
-           svm_launch_ms=m["svm"]["launch_ms"],
-           txt_launch_ms=m["txt"]["launch_ms"])
-
+    assert svm_verified and txt_verified
     # Same application behaviour on both vendors.
-    assert m["svm"]["outputs"] == m["txt"]["outputs"] == b"portable"
+    assert svm_session.outputs == txt_session.outputs == b"portable"
     # TXT streams ACM + full MLE, so its launch costs more than the
     # stub-optimized SKINIT; both stay in the tens-of-ms regime.
     assert m["txt"]["launch_ms"] > m["svm"]["launch_ms"]
     assert m["txt"]["launch_ms"] < 120.0
+
+    return {"virtual": m}
+
+
+register(
+    "txt", run_bench, params={"seed": 9090},
+    description="Extension: Flicker over Intel TXT (SENTER) vs AMD SVM (SKINIT)",
+)

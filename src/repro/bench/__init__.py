@@ -1,14 +1,15 @@
 """Unified benchmark framework.
 
 The repository's benchmarks live in ``benchmarks/bench_*.py``.  Each
-module may call :func:`register` at import time to expose a *runnable*
+module calls :func:`register` at import time to expose a *runnable*
 benchmark — a plain function returning JSON-friendly metrics — to the
 unified runner (``python -m repro.tools.bench``).  The runner
 
 * discovers every registered benchmark by importing the ``benchmarks``
   package,
 * runs each with its pinned parameters (``--quick`` selects the smaller
-  parameter set committed baselines are generated with),
+  parameter set committed baselines are generated with); each benchmark
+  checks its own paper claims as it runs, so a broken claim fails the run,
 * emits one schema-versioned ``BENCH_<name>.json`` per benchmark whose
   ``virtual`` section is byte-deterministic (same seed, same bytes on
   any host) while host-dependent numbers live under ``wall``/``meta``,

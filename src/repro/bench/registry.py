@@ -16,10 +16,14 @@ produce the same values on every host) and an optional ``wall`` section
 for host-dependent measurements.  Seeds belong in the parameter set so
 the result file records them.
 
+The paper claims a benchmark reproduces live in its function: it checks
+them with ``assert`` just before returning, written in terms of its
+parameters, so every run — the runner, the report tool, the determinism
+tests — fails when a claim breaks.
+
 Registration is import-time: :func:`discover` imports every
 ``benchmarks/bench_*.py`` module once, and whatever registered becomes
-runnable.  Modules that only define pytest-benchmark tests simply do not
-register and are ignored by the runner.
+runnable.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Command-line tools for the Flicker reproduction.
 
-* ``python -m repro.tools.report`` — regenerate the headline experiment
-  numbers (a condensed version of the benchmark harness) as one report.
+* ``python -m repro.tools.report`` — run the registered benchmarks that
+  reproduce the paper's §7 tables and figures and print their results
+  as one report.
 * ``python -m repro.tools.timeline`` — run a hello-world session and dump
   the full platform trace, for exploring how a session unfolds.
 

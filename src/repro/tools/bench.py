@@ -2,9 +2,11 @@
 
 Discovers every benchmark registered by ``benchmarks/bench_*.py`` (see
 :mod:`repro.bench`), runs each with pinned parameters, and writes one
-schema-versioned ``BENCH_<name>.json`` per benchmark.  With ``--compare``
-it gates the fresh results against committed baselines and exits
-non-zero on regression — the CI perf job runs exactly that.
+schema-versioned ``BENCH_<name>.json`` per benchmark.  Each benchmark
+checks its paper claims as it runs, so a broken claim fails the run.
+With ``--compare`` it gates the fresh results against committed
+baselines and exits non-zero on regression — the CI perf job runs
+exactly that.
 
 Usage::
 
@@ -103,7 +105,10 @@ def main(argv: Optional[Sequence[str]] = None, *,
 
     if args.only:
         names = [n for n in args.only.split(",") if n]
-        benches = [get_benchmark(n) for n in names]
+        try:
+            benches = [get_benchmark(n) for n in names]
+        except KeyError as exc:
+            parser.error(exc.args[0])
     else:
         benches = all_benchmarks()
 

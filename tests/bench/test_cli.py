@@ -56,6 +56,14 @@ class TestRunAndWrite:
         assert fake_bench in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
 
+    def test_unknown_only_name_is_a_usage_error(self, fake_bench, capsys):
+        # Exit 1 means "gate failure"; a typo must not look like one.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--quick", "--only", "nosuch", "--no-write")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nosuch'" in err and fake_bench in err
+
     def test_empty_registry_exits_2(self, tmp_path, monkeypatch):
         from repro.bench import registry
         monkeypatch.setattr(registry, "_REGISTRY", {})

@@ -4,7 +4,8 @@ These tests run the real registered benchmarks twice and require the
 canonical serialization of the non-volatile portion (everything except
 ``wall`` and ``meta`` — see :func:`repro.bench.strip_volatile`) to be
 byte-for-byte identical.  This is the property the CI perf gate's
-"virtual metrics compare exactly" rule rests on.
+"virtual metrics compare exactly" rule rests on.  Each run also checks
+the benchmark's paper claims, which fail the test when they break.
 """
 
 import pytest
@@ -34,10 +35,21 @@ def _discovered():
 
 
 @pytest.mark.parametrize("name", [
+    "attestation_comparison",
+    "ca",
+    "e2e_rootkit",
     "fig6_modules",
+    "fig8_efficiency",
+    "fig9_ssh",
+    "future_hw",
+    "io_impact",
+    "obs_overhead",
+    "skinit_opt",
     "table1_rootkit",
     "table2_skinit",
-    "obs_overhead",
+    "table3_impact",
+    "table4_distributed",
+    "txt",
 ])
 def test_quick_run_is_byte_deterministic(name):
     assert stripped_bytes(name) == stripped_bytes(name)

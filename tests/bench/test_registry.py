@@ -109,7 +109,11 @@ class TestDiscover:
         discover()
         names = registered()
         for expected in ("fig6_modules", "table1_rootkit", "table2_skinit",
-                         "obs_overhead", "fleet", "fault_campaign"):
+                         "obs_overhead", "fleet", "fault_campaign",
+                         "attestation_comparison", "ca", "e2e_rootkit",
+                         "fig8_efficiency", "fig9_ssh", "future_hw",
+                         "io_impact", "skinit_opt", "table3_impact",
+                         "table4_distributed", "txt"):
             assert expected in names
 
     def test_discover_is_idempotent(self):
